@@ -411,6 +411,16 @@ def _fraction_arg(text: str) -> Fraction:
     return q
 
 
+def _positive_int_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return n
+
+
 def _margin_arg(text: str) -> Fraction:
     q = _fraction_arg(text)
     if not 0 < q < 1:
@@ -467,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_l")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int_arg, default=1000)
+    p.add_argument("--bound", type=_positive_int_arg, default=10)
     common(p)
     p.set_defaults(func=cmd_shadow_cover)
 
@@ -479,10 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_l")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--verify-trials", type=int, default=2000, dest="verify_trials")
+    p.add_argument("--trials", type=_positive_int_arg, default=1000)
+    p.add_argument(
+        "--verify-trials", type=_positive_int_arg, default=2000, dest="verify_trials"
+    )
     p.add_argument("--margin", type=_margin_arg, default=Fraction(1, 2))
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_positive_int_arg, default=10)
     p.add_argument("--out", help="file for the bundle JSON")
     common(p)
     p.set_defaults(func=cmd_counterexample)

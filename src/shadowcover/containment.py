@@ -110,6 +110,27 @@ def _sparse_multipliers(lam: Sequence[Fraction]) -> FarkasCertificate:
     )
 
 
+# Verdict guards: explicit raises rather than ``assert``, so that they still
+# run under ``python -O``.  A failure is a bug, not an input condition.
+
+
+def _require_fit(k: Polytope, l: Polytope, v: Vector) -> None:
+    if not fits_exactly(k, l, v):
+        raise AssertionError("witness translation failed exact re-verification")
+
+
+def _require_certificate(k: Polytope, l: Polytope, cert: FarkasCertificate) -> None:
+    if not certificate_valid(k, l, cert):
+        raise AssertionError("Farkas certificate failed exact re-verification")
+
+
+def _require_outcome(outcome: object, kind: type) -> None:
+    if not isinstance(outcome, kind):
+        raise AssertionError(
+            f"expected an {kind.__name__} LP outcome, got {type(outcome).__name__}"
+        )
+
+
 def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     """Decide whether some translate of K fits inside L.
 
@@ -129,11 +150,11 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
         outcome = solve_lp(LPProblem(zero_vector(n), cons))
         if isinstance(outcome, Optimal):
             v = outcome.point
-            assert fits_exactly(k, l, v)
+            _require_fit(k, l, v)
             return ContainmentVerdict(True, witness=v)
-        assert isinstance(outcome, Infeasible)
+        _require_outcome(outcome, Infeasible)
         cert = _sparse_multipliers(outcome.multipliers)
-        assert certificate_valid(k, l, cert)
+        _require_certificate(k, l, cert)
         return ContainmentVerdict(False, certificate=cert)
 
     if not _direction_space_contained(k, l):
@@ -143,7 +164,7 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     offset = sub(l.vertices[0], k.vertices[0])
     if l.affine_dim == 0:
         v = offset
-        assert fits_exactly(k, l, v)
+        _require_fit(k, l, v)
         return ContainmentVerdict(True, witness=v)
     xi = Subspace(n, l.affine_basis)
     proj = xi.projector()
@@ -155,11 +176,11 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     outcome = solve_lp(LPProblem(zero_vector(xi.dim), cons))
     if isinstance(outcome, Optimal):
         v = add(v_perp, xi.lift(outcome.point))
-        assert fits_exactly(k, l, v)
+        _require_fit(k, l, v)
         return ContainmentVerdict(True, witness=v)
-    assert isinstance(outcome, Infeasible)
+    _require_outcome(outcome, Infeasible)
     cert = _sparse_multipliers(outcome.multipliers)
-    assert certificate_valid(k, l, cert)
+    _require_certificate(k, l, cert)
     return ContainmentVerdict(False, certificate=cert)
 
 
@@ -184,7 +205,7 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
         outcome = solve_lp(LPProblem(objective, cons, nonneg))
         if isinstance(outcome, Unbounded):
             raise RuntimeError("maximal scale is unbounded (degenerate body)")
-        assert isinstance(outcome, Optimal)
+        _require_outcome(outcome, Optimal)
         alpha = outcome.point[0]
         v = outcome.point[1:]
     else:
@@ -202,13 +223,13 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
         outcome = solve_lp(LPProblem(objective, cons, nonneg))
         if isinstance(outcome, Unbounded):
             raise RuntimeError("maximal scale is unbounded (degenerate body)")
-        assert isinstance(outcome, Optimal)
+        _require_outcome(outcome, Optimal)
         alpha = outcome.point[0]
         scaled_k0 = tuple(alpha * x for x in k.vertices[0])
         offset = sub(l.vertices[0], scaled_k0)
         v_perp = sub(offset, matvec(proj, offset))
         v = add(v_perp, xi.lift(outcome.point[1:]))
-    assert fits_exactly(scale_polytope(k, alpha), l, v)
+    _require_fit(scale_polytope(k, alpha), l, v)
     return alpha, v
 
 
@@ -244,6 +265,9 @@ class SubspaceSampler:
     def stream(self, ambient_dim: int) -> Iterator[Subspace]:
         if not 1 <= self.d <= ambient_dim:
             raise ValueError("sampler dimension out of range")
+        if self.entry_bound < 1:
+            # every draw from [0, 0] has rank 0, so the stream would never yield
+            raise ValueError("sampler entry bound must be at least 1")
         rng = random.Random(f"{self.seed}:{ambient_dim}:{self.d}:{self.entry_bound}")
         b = self.entry_bound
         while True:
@@ -295,6 +319,8 @@ def sampled_shadow_cover(
         raise ValueError("shadow dimension must satisfy 1 <= d <= n-1")
     if sampler.d != d:
         raise ValueError("sampler was built for a different shadow dimension")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     passes = 0
     failed_trial = failed_subspace = failed_verdict = None
     stream = sampler.stream(n)
@@ -357,7 +383,7 @@ def product_containment(
                     component=idx,
                 )
             v = add(v, sp.lift(verdict.witness))
-        assert fits_exactly(k, direct_sum_assemble(parts), v)
+        _require_fit(k, direct_sum_assemble(parts), v)
         return ContainmentVerdict(True, witness=v)
 
     m = matrix(stacked)
@@ -377,5 +403,5 @@ def product_containment(
     if not verdict.fits:
         return verdict
     v = matvec(transpose(m), verdict.witness)
-    assert fits_exactly(k, direct_sum_assemble(parts), v)
+    _require_fit(k, direct_sum_assemble(parts), v)
     return ContainmentVerdict(True, witness=v)

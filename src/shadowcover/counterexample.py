@@ -91,7 +91,8 @@ def _alpha_scan(
         alpha, _ = max_scale(project(s, xi), project(l, xi))
         if alpha_min is None or alpha < alpha_min:
             alpha_min = alpha
-    assert alpha_min is not None
+    if alpha_min is None:
+        raise AssertionError("alpha scan ran no trials")
     return alpha_min
 
 
@@ -112,6 +113,8 @@ def find_alpha(
     """
     if not 0 < margin < 1:
         raise ValueError("margin must be strictly between 0 and 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     alpha_min = _alpha_scan(l, s, d, sampler, trials)
     if alpha_min <= 1:
         raise ValueError(
@@ -206,6 +209,8 @@ def build_counterexample(
     behind L without fitting inside, so no counterexample exists).  The
     verification seed is derived as seed+1 and recorded in the bundle.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     verdict: ReliabilityVerdict = is_reliable(l, d)
     if verdict.reliable:
         raise ReliableCoverError(f"cover is {d}-reliable; no counterexample exists")

@@ -1,9 +1,14 @@
 """Exact rational linear programming, two-phase simplex with Bland's rule.
 
 Maximisation over constraints a.x <= b with optionally sign-restricted
-variables.  All arithmetic is ``Fraction``; pivoting uses Bland's smallest
-index rule, so the solver terminates on every input.  Every outcome carries
-an exactly checkable witness:
+variables.  Problems and outcomes are ``Fraction``; the tableau in between
+is fraction-free, each row integer numerators over one positive row
+denominator with their common gcd divided out after every update (in the
+line of Edmonds 1967 and Bareiss 1968).  It holds exactly the rationals of
+the ``Fraction`` tableau at every step, so its pivots, outcomes and witnesses
+are identical to those of the rational simplex.  Pivoting uses Bland's
+smallest index rule, so the solver terminates on every input.  Every outcome
+carries an exactly checkable witness:
 
 * Optimal: a point satisfying all constraints, achieving the value.
 * Infeasible: multipliers lam >= 0 with sum(lam_i a_i) vanishing on free
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import Vector, dot, vector
 
@@ -109,8 +115,42 @@ def verify_outcome(p: LPProblem, outcome: LPOutcome) -> bool:
     return False
 
 
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide a row and its positive denominator by their common gcd."""
+    g = gcd(den, *row)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def _cancel(
+    row: list[int], den: int, prow: list[int], q: int, j: int
+) -> tuple[list[int], int]:
+    """row/den minus row[j]/den times prow/q, where prow[j] == q.
+
+    Clears column j of the row (one elimination step of a pivot).
+    """
+    f = row[j]
+    return _reduced([x * q - f * y for x, y in zip(row, prow)], den * q)
+
+
+def _integer_row(entries: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator for a rational row."""
+    # star-unpack lists, not generators: a generator's argument tuple is
+    # built by resizing, which strands tuples on the interpreter's free lists
+    den = lcm(*[e.denominator for e in entries])
+    return _reduced([e.numerator * (den // e.denominator) for e in entries], den)
+
+
 class _Tableau:
-    """Dense simplex tableau in canonical form (basis columns are units)."""
+    """Dense simplex tableau in canonical form (basis columns are units).
+
+    Row i holds the rationals ``rows[i][k] / dens[i]`` with ``dens[i] > 0``
+    and the gcd of the row and its denominator divided out after every
+    update; the objective row is ``z / zden`` likewise.  These are exactly
+    the entries of the rational tableau, so signs are read off numerators and
+    ratio tests compare cross products.
+    """
 
     def __init__(self, p: LPProblem):
         self.p = p
@@ -131,14 +171,15 @@ class _Tableau:
         self.nart = len(art_rows)
         self.track0 = self.ny + m + self.nart
         self.rhs = self.track0 + m
-        width = self.rhs + 1
-        self.rows: list[list[Fraction]] = []
+        self.width = self.rhs + 1
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
         for i, (a, b) in enumerate(p.constraints):
-            row = [ZERO] * width
+            row = [ZERO] * self.width
             s = self.sigma[i]
             for k, (j, sg) in enumerate(self.cols):
-                row[k] = Fraction(s * sg) * a[j]
+                row[k] = s * sg * a[j]
             row[self.ny + i] = Fraction(s)
             if i in self.art_col:
                 row[self.art_col[i]] = ONE
@@ -146,51 +187,73 @@ class _Tableau:
             else:
                 self.basis.append(self.ny + i)
             row[self.track0 + i] = ONE
-            row[self.rhs] = Fraction(s) * b
-            self.rows.append(row)
+            row[self.rhs] = s * b
+            nums, den = _integer_row(row)
+            self.rows.append(nums)
+            self.dens.append(den)
+        self.z: list[int] = [0] * self.width
+        self.zden = 1
 
-    def pivot(self, zrow: list[Fraction], i: int, j: int) -> None:
+    def eliminate(self, i: int, j: int) -> None:
+        """Clear column j from the objective row using row i (entry 1 there)."""
+        if self.z[j]:
+            self.z, self.zden = _cancel(
+                self.z, self.zden, self.rows[i], self.dens[i], j
+            )
+
+    def pivot(self, i: int, j: int) -> None:
         prow = self.rows[i]
-        pval = prow[j]
-        if pval != 1:
-            prow = [a / pval for a in prow]
-            self.rows[i] = prow
+        q = prow[j]
+        if q < 0:
+            prow = [-x for x in prow]
+            q = -q
+        # row i becomes prow / q, whose entry in column j is 1
+        prow, q = _reduced(prow, q)
+        self.rows[i] = prow
+        self.dens[i] = q
+        rows, dens = self.rows, self.dens
         for r in range(self.m):
-            if r != i:
-                f = self.rows[r][j]
-                if f:
-                    self.rows[r] = [a - f * b for a, b in zip(self.rows[r], prow)]
-        f = zrow[j]
-        if f:
-            zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
+            if r != i and rows[r][j]:
+                rows[r], dens[r] = _cancel(rows[r], dens[r], prow, q, j)
+        self.eliminate(i, j)
         self.basis[i] = j
 
-    def bland(self, zrow: list[Fraction]) -> str:
+    def bland(self) -> str:
         """Run Bland iterations until optimal or unbounded."""
         n_real = self.ny + self.m
+        rhs = self.rhs
         while True:
+            z = self.z
             enter = -1
             for j in range(n_real):
-                if zrow[j] > 0:
+                if z[j] > 0:
                     enter = j
                     break
             if enter < 0:
                 return "optimal"
+            # rhs_i and coef_i share row i's denominator, so the ratio is a
+            # quotient of numerators and two ratios compare as cross products
+            # (both coefficients positive): same argmin, same ties
             leave = -1
-            best: Fraction | None = None
-            for i in range(self.m):
-                coef = self.rows[i][enter]
+            best_rhs = best_coef = 0
+            for i, row in enumerate(self.rows):
+                coef = row[enter]
                 if coef > 0:
-                    ratio = self.rows[i][self.rhs] / coef
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:
+                        lhs = row[rhs] * best_coef
+                        other = best_rhs * coef
+                        if lhs > other or (
+                            lhs == other and self.basis[i] > self.basis[leave]
+                        ):
+                            continue
+                    leave, best_rhs, best_coef = i, row[rhs], coef
             if leave < 0:
                 self.unbounded_col = enter
                 return "unbounded"
-            self.pivot(zrow, leave, enter)
+            self.pivot(leave, enter)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.rows[i][j], self.dens[i])
 
     def point(self) -> Vector:
         nvars = len(self.p.objective)
@@ -198,7 +261,7 @@ class _Tableau:
         for i, bcol in enumerate(self.basis):
             if bcol < self.ny:
                 j, sg = self.cols[bcol]
-                x[j] += sg * self.rows[i][self.rhs]
+                x[j] += sg * self.entry(i, self.rhs)
         return tuple(x)
 
     def ray(self, enter: int) -> Vector:
@@ -212,51 +275,49 @@ class _Tableau:
         for i, bcol in enumerate(self.basis):
             if bcol < self.ny:
                 jj, sg2 = self.cols[bcol]
-                r[jj] += sg2 * (-self.rows[i][enter])
+                r[jj] += sg2 * (-self.entry(i, enter))
         return tuple(r)
 
 
 def solve_lp(p: LPProblem) -> LPOutcome:
     """Exact two-phase simplex with Bland's anti-cycling rule."""
     t = _Tableau(p)
-    width = t.rhs + 1
 
     if t.nart:
-        zrow = [ZERO] * width
-        for col in t.art_col.values():
-            zrow[col] = -ONE
+        # phase-1 objective: the sum of the artificial rows, minus one on
+        # each artificial column
+        den = lcm(*[t.dens[i] for i in t.art_col])
+        z = [0] * t.width
         for i in t.art_col:
-            zrow = [a + b for a, b in zip(zrow, t.rows[i])]
-        status = t.bland(zrow)
+            scale = den // t.dens[i]
+            z = [a + scale * b for a, b in zip(z, t.rows[i])]
+        for col in t.art_col.values():
+            z[col] -= den
+        t.z, t.zden = _reduced(z, den)
+        status = t.bland()
         if status != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
-        if zrow[t.rhs] > 0:
-            lam = tuple(-t.sigma[i] * zrow[t.track0 + i] for i in range(t.m))
+        if t.z[t.rhs] > 0:
+            lam = tuple(
+                Fraction(-t.sigma[i] * t.z[t.track0 + i], t.zden) for i in range(t.m)
+            )
             outcome: LPOutcome = Infeasible(lam)
             if not verify_outcome(p, outcome):
                 raise AssertionError("simplex produced an invalid Farkas certificate")
             return outcome
-        # drive leftover artificials out of the basis
+        # drive leftover artificials out of the basis; the slack columns have
+        # full row rank, so every row has a nonzero real entry to pivot on
         for i in range(t.m):
-            if t.basis[i] >= t.ny + t.m and t.basis[i] < t.track0:
-                piv = next(
-                    (j for j in range(t.ny + t.m) if t.rows[i][j] != 0), None
-                )
-                if piv is not None:
-                    t.pivot(zrow, i, piv)
-        keep = [i for i in range(t.m) if not (t.ny + t.m <= t.basis[i] < t.track0)]
-        t.rows = [t.rows[i] for i in keep]
-        t.basis = [t.basis[i] for i in keep]
-        t.m = len(keep)
+            if t.ny + t.m <= t.basis[i] < t.track0:
+                t.pivot(i, next(j for j in range(t.ny + t.m) if t.rows[i][j]))
 
-    zrow = [ZERO] * width
+    zrow = [ZERO] * t.width
     for k, (j, sg) in enumerate(t.cols):
-        zrow[k] = Fraction(sg) * p.objective[j]
+        zrow[k] = sg * p.objective[j]
+    t.z, t.zden = _integer_row(zrow)
     for i, bcol in enumerate(t.basis):
-        f = zrow[bcol]
-        if f:
-            zrow = [a - f * b for a, b in zip(zrow, t.rows[i])]
-    status = t.bland(zrow)
+        t.eliminate(i, bcol)
+    status = t.bland()
     if status == "unbounded":
         outcome = Unbounded(t.ray(t.unbounded_col))
         if not verify_outcome(p, outcome):

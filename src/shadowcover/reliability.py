@@ -131,6 +131,23 @@ def is_simplicial(dirs: Sequence[Sequence[object]]) -> SimplicialFamily | None:
     return SimplicialFamily(tuple(range(m)), vector(integerize(coeffs)))
 
 
+def _family(
+    a: DirectionSet, members: tuple[int, ...], int_coeffs: Sequence[int]
+) -> SimplicialFamily:
+    """A family from a circuit of the integer directions, in a's own scale.
+
+    The circuit's coefficients combine the content-reduced directions; each
+    one is rescaled by that direction's factor integerize(u)/u so that they
+    combine the directions of ``a`` as given (no change for reduced input).
+    """
+    coeffs = []
+    for i, c in zip(members, int_coeffs):
+        u = a.directions[i]
+        k = next(j for j, x in enumerate(u) if x)
+        coeffs.append(c * integerize(u)[k] / u[k])
+    return SimplicialFamily(members, tuple(coeffs))
+
+
 def enumerate_simplicial(a: DirectionSet, min_size: int) -> list[SimplicialFamily]:
     """All simplicial families of at least `min_size` directions.
 
@@ -142,9 +159,7 @@ def enumerate_simplicial(a: DirectionSet, min_size: int) -> list[SimplicialFamil
         raise ValueError("simplicial families have at least 2 members")
     max_size = a.rank() + 1
     found = circuits(a.integer_directions(), min_size, max_size, positive_only=True)
-    fams = [
-        SimplicialFamily(members, vector(coeffs)) for members, coeffs in found
-    ]
+    fams = [_family(a, members, coeffs) for members, coeffs in found]
     fams.sort(key=lambda f: (f.size, f.members))
     return fams
 
@@ -190,8 +205,7 @@ def is_reliable(body: Polytope | DirectionSet, d: int) -> ReliabilityVerdict:
             hit = smaller
             break
     members, coeffs = hit[0]
-    fam = SimplicialFamily(members, vector(coeffs))
-    return ReliabilityVerdict(False, d, fam, a)
+    return ReliabilityVerdict(False, d, _family(a, members, coeffs), a)
 
 
 def parallelotope_check(p: Polytope) -> bool:

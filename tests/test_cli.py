@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import shadowcover
 
 from shadowcover.cli import main
 from shadowcover.corpus import named
@@ -194,3 +199,45 @@ def test_invalid_margin_rejected(capsys, pyramid_file):
     with pytest.raises(SystemExit):
         main(["counterexample", pyramid_file, "--d", "1", "--seed", "1",
               "--margin", "2"])
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "positive integer" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "0"), ("--trials", "-5"), ("--bound", "0"), ("--bound", "-1"),
+])
+def test_shadow_cover_rejects_nonpositive(capsys, cube_file, big_cube_file, flag, value):
+    _usage_error(
+        capsys,
+        ["shadow-cover", cube_file, big_cube_file, "--d", "2", "--seed", "5",
+         flag, value],
+    )
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--verify-trials", "--bound"])
+def test_counterexample_rejects_nonpositive(capsys, pyramid_file, flag):
+    _usage_error(
+        capsys,
+        ["counterexample", pyramid_file, "--d", "1", "--seed", "1", flag, "0"],
+    )
+
+
+def test_shadow_cover_bound_zero_exits_without_hanging(cube_file, big_cube_file):
+    src = str(Path(shadowcover.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowcover.cli", "shadow-cover", cube_file,
+         big_cube_file, "--d", "2", "--seed", "5", "--bound", "0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": src, "SHADOWCOVER_PURE": "1"},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "positive integer" in proc.stderr.strip().splitlines()[-1]

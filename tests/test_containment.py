@@ -1,6 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import shadowcover
 
 from shadowcover.containment import (
     SubspaceSampler,
@@ -140,6 +145,49 @@ def test_sampler_deterministic():
     stream = s.stream(4)
     first = [next(stream) for _ in range(5)]
     assert all(sub.dim == 2 for sub in first)
+
+
+def test_sampler_rejects_nonpositive_bound():
+    # a bound of 0 draws only zero rows, which never have full rank
+    with pytest.raises(ValueError):
+        next(SubspaceSampler(1, 1, 0).stream(3))
+
+
+def test_sampled_cover_rejects_nonpositive_trials(cube3):
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            sampled_shadow_cover(cube3, cube3, 2, SubspaceSampler(3, 2), trials)
+
+
+_GUARD_SCRIPT = """
+import sys
+from shadowcover import containment
+from shadowcover.corpus import named
+from shadowcover.polytope import scale_polytope
+
+assert False, "unreachable under -O"
+containment.fits_exactly = lambda k, l, v: False
+cube = named("cube-3")
+try:
+    containment.translate_fit(cube, scale_polytope(cube, 2))
+except AssertionError as exc:
+    print(exc)
+    sys.exit(0 if sys.flags.optimize else 3)
+sys.exit(1)
+"""
+
+
+def test_verdict_guard_survives_python_O():
+    src = str(Path(shadowcover.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GUARD_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "SHADOWCOVER_PURE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "re-verification" in proc.stdout
 
 
 def test_sampled_cover_translate_always_passes(cube3):

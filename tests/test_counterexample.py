@@ -62,6 +62,15 @@ def test_find_alpha_rejects_identical_bodies(octahedron):
         find_alpha(octahedron, octahedron, 2, SubspaceSampler(3, 2), trials=40)
 
 
+def test_nonpositive_trials_rejected(octahedron):
+    s = build_S(octahedron, octa_family(octahedron))
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            find_alpha(octahedron, s, 2, SubspaceSampler(3, 2), trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            build_counterexample(octahedron, 2, seed=1, trials=trials)
+
+
 def test_margin_monotone(octahedron):
     fam = octa_family(octahedron)
     s = build_S(octahedron, fam)

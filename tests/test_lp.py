@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -150,3 +152,56 @@ def test_solver_agrees_with_enumeration_oracle(p):
 @settings(max_examples=40, deadline=None)
 def test_determinism(p):
     assert solve_lp(p) == solve_lp(p)
+
+
+def _pinned_lps():
+    """500 seeded small LPs: free and sign-restricted variables, rational
+    entries, negative right-hand sides (phase 1), repeated rows and
+    equality pairs (degenerate pivots, leftover artificials), and boxes."""
+    rng = random.Random(20261018)
+
+    def entry():
+        if rng.random() < 0.25:
+            return F(rng.randint(-6, 6), rng.randint(1, 4))
+        return F(rng.randint(-4, 4))
+
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(0, 6)):
+            a = tuple(entry() for _ in range(n))
+            b = entry() - (2 if rng.random() < 0.3 else 0)
+            cons.append((a, b))
+            if rng.random() < 0.2:
+                cons.append((tuple(-x for x in a), -b))
+            if rng.random() < 0.1:
+                cons.append((a, b))
+        if rng.random() < 0.4:
+            for j in range(n):
+                e = tuple(F(int(k == j)) for k in range(n))
+                cons.append((e, F(rng.randint(0, 5))))
+                cons.append((tuple(-x for x in e), F(rng.randint(-2, 5))))
+        nonneg = tuple(rng.random() < 0.4 for _ in range(n))
+        yield lp_problem(tuple(entry() for _ in range(n)), cons, nonneg)
+
+
+def _canonical(out) -> str:
+    if isinstance(out, Optimal):
+        return f"O|{','.join(map(str, out.point))}|{out.value}"
+    if isinstance(out, Infeasible):
+        return f"I|{','.join(map(str, out.multipliers))}"
+    return f"U|{','.join(map(str, out.ray))}"
+
+
+def test_outcomes_pinned_to_rational_simplex():
+    """Outcomes and witnesses of the fraction-free tableau, pinned by digest.
+
+    The digest was recorded from the Fraction tableau it replaced, so any
+    change in Bland's pivot sequence, ties included, shows up here.
+    """
+    outs = [_canonical(solve_lp(p)) for p in _pinned_lps()]
+    assert [sum(s[0] == k for s in outs) for k in "OIU"] == [132, 228, 140]
+    digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()
+    assert digest == (
+        "d715e0732ae2c3ddafea3ea4e2ba9fa3642bf12ecbb4fb9e3e31df56b3cf66f2"
+    )

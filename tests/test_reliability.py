@@ -114,6 +114,19 @@ def test_scale_invariance_of_directions():
     assert va.certificate.members == vb.certificate.members
 
 
+def test_certificate_valid_on_unreduced_directions():
+    # circuits are found on content-reduced directions; the coefficients must
+    # still combine the directions as given
+    a = direction_set(3, [(2, 0, 0), (0, 2, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    v = is_reliable(a, 1)
+    assert v.certificate.members == (0, 1, 2)
+    assert v.certificate.coefficients == (F(1, 2), F(1, 2), F(1))
+    assert family_valid(a, v.certificate)
+    b = direction_set(2, [("1/2", 0), (0, "3/4"), (-1, -1)])
+    assert family_valid(b, is_reliable(b, 1).certificate)
+    assert all(family_valid(a, f) for f in enumerate_simplicial(a, 2))
+
+
 def test_positively_proportional_directions_rejected():
     with pytest.raises(ValueError):
         direction_set(2, [(1, 0), (2, 0)])
