@@ -45,7 +45,6 @@ from .decomposability import (
     is_decomposable,
     normal_components,
 )
-from .kernels import backend_name
 from .lp import Infeasible, LPProblem, Optimal, Unbounded, solve_lp
 from .polytope import (
     Facet,
@@ -77,6 +76,15 @@ from .reliability import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Always "pure": the integer kernels have one pure-Python implementation.
+
+    Kept because benchmark reports record the backend by this name.
+    """
+    return "pure"
+
 
 __all__ = [
     "BundleVerification",

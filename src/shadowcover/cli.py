@@ -25,7 +25,11 @@ from .containment import (
     sampled_shadow_cover,
     translate_fit,
 )
-from .counterexample import ReliableCoverError, build_counterexample
+from .counterexample import (
+    NoUsableScaleError,
+    ReliableCoverError,
+    build_counterexample,
+)
 from .decomposability import extract_factors, is_decomposable
 from .jsonio import (
     FormatError,
@@ -343,7 +347,8 @@ def cmd_counterexample(args) -> int:
             entry_bound=args.bound,
             verify_trials=args.verify_trials,
         )
-    except ReliableCoverError as exc:
+    except (ReliableCoverError, NoUsableScaleError, RuntimeError) as exc:
+        # run outcomes, not usage errors: exit 1 like any negative verdict
         print(f"no counterexample: {exc}", file=sys.stderr)
         return 1
     doc = bundle_to_doc(bundle)

@@ -131,6 +131,27 @@ def _require_outcome(outcome: object, kind: type) -> None:
         )
 
 
+def _frame(l: Polytope):
+    """L's facet normals in the fitting LP's coordinates, and the way back.
+
+    The LP runs in coordinates of L's affine hull: facet normal a becomes
+    the row B a for L's basis rows B, and an LP point c lifts to B^T c plus
+    the perpendicular shift that carries a point k0 of the body into L's
+    affine hull.  A full-dimensional L keeps its normals and lifts c to
+    itself, with no Subspace built.
+    """
+    if l.is_full_dimensional:
+        return [f.normal for f in l.facets], lambda c, k0: c
+    xi = Subspace(l.dim, l.affine_basis)
+
+    def lift(c: Vector, k0: Vector) -> Vector:
+        offset = sub(l.vertices[0], k0)
+        v_perp = sub(offset, xi.lift(xi.coords_of(offset)))
+        return add(v_perp, xi.lift(c))
+
+    return [matvec(xi.basis, f.normal) for f in l.facets], lift
+
+
 def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     """Decide whether some translate of K fits inside L.
 
@@ -142,40 +163,20 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     """
     if k.dim != l.dim:
         raise ValueError("bodies must share an ambient dimension")
-    n = k.dim
-    if l.affine_dim == n:
-        cons = tuple(
-            (f.normal, f.offset - k.support(f.normal)) for f in l.facets
-        )
-        outcome = solve_lp(LPProblem(zero_vector(n), cons))
-        if isinstance(outcome, Optimal):
-            v = outcome.point
-            _require_fit(k, l, v)
-            return ContainmentVerdict(True, witness=v)
-        _require_outcome(outcome, Infeasible)
-        cert = _sparse_multipliers(outcome.multipliers)
-        _require_certificate(k, l, cert)
-        return ContainmentVerdict(False, certificate=cert)
-
-    if not _direction_space_contained(k, l):
+    if not l.is_full_dimensional and not _direction_space_contained(k, l):
         return ContainmentVerdict(False, hull_mismatch=True)
-
-    # perpendicular alignment is forced; the free part lives in coordinates
-    offset = sub(l.vertices[0], k.vertices[0])
     if l.affine_dim == 0:
-        v = offset
+        # perpendicular alignment is forced and there is nothing left to solve
+        v = sub(l.vertices[0], k.vertices[0])
         _require_fit(k, l, v)
         return ContainmentVerdict(True, witness=v)
-    xi = Subspace(n, l.affine_basis)
-    proj = xi.projector()
-    v_perp = sub(offset, matvec(proj, offset))
+    normals, lift = _frame(l)
     cons = tuple(
-        (matvec(xi.basis, f.normal), f.offset - k.support(f.normal))
-        for f in l.facets
+        (a, f.offset - k.support(f.normal)) for a, f in zip(normals, l.facets)
     )
-    outcome = solve_lp(LPProblem(zero_vector(xi.dim), cons))
+    outcome = solve_lp(LPProblem(zero_vector(l.affine_dim), cons))
     if isinstance(outcome, Optimal):
-        v = add(v_perp, xi.lift(outcome.point))
+        v = lift(outcome.point, k.vertices[0])
         _require_fit(k, l, v)
         return ContainmentVerdict(True, witness=v)
     _require_outcome(outcome, Infeasible)
@@ -192,43 +193,23 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     """
     if k.dim != l.dim:
         raise ValueError("bodies must share an ambient dimension")
-    n = k.dim
-    if l.affine_dim < n and not _direction_space_contained(k, l):
+    if l.affine_dim == 0 or (
+        not l.is_full_dimensional and not _direction_space_contained(k, l)
+    ):
         return ZERO, l.vertices[0]
-
-    if l.affine_dim == n:
-        objective = vector([1] + [0] * n)
-        cons = tuple(
-            ((k.support(f.normal),) + f.normal, f.offset) for f in l.facets
-        )
-        nonneg = (True,) + (False,) * n
-        outcome = solve_lp(LPProblem(objective, cons, nonneg))
-        if isinstance(outcome, Unbounded):
-            raise RuntimeError("maximal scale is unbounded (degenerate body)")
-        _require_outcome(outcome, Optimal)
-        alpha = outcome.point[0]
-        v = outcome.point[1:]
-    else:
-        if l.affine_dim == 0:
-            return ZERO, l.vertices[0]
-        xi = Subspace(n, l.affine_basis)
-        proj = xi.projector()
-        d = xi.dim
-        objective = vector([1] + [0] * d)
-        cons = tuple(
-            ((k.support(f.normal),) + matvec(xi.basis, f.normal), f.offset)
-            for f in l.facets
-        )
-        nonneg = (True,) + (False,) * d
-        outcome = solve_lp(LPProblem(objective, cons, nonneg))
-        if isinstance(outcome, Unbounded):
-            raise RuntimeError("maximal scale is unbounded (degenerate body)")
-        _require_outcome(outcome, Optimal)
-        alpha = outcome.point[0]
-        scaled_k0 = tuple(alpha * x for x in k.vertices[0])
-        offset = sub(l.vertices[0], scaled_k0)
-        v_perp = sub(offset, matvec(proj, offset))
-        v = add(v_perp, xi.lift(outcome.point[1:]))
+    normals, lift = _frame(l)
+    d = l.affine_dim
+    objective = vector([1] + [0] * d)
+    cons = tuple(
+        ((k.support(f.normal),) + a, f.offset) for a, f in zip(normals, l.facets)
+    )
+    nonneg = (True,) + (False,) * d
+    outcome = solve_lp(LPProblem(objective, cons, nonneg))
+    if isinstance(outcome, Unbounded):
+        raise RuntimeError("maximal scale is unbounded (degenerate body)")
+    _require_outcome(outcome, Optimal)
+    alpha = outcome.point[0]
+    v = lift(outcome.point[1:], tuple(alpha * x for x in k.vertices[0]))
     _require_fit(scale_polytope(k, alpha), l, v)
     return alpha, v
 

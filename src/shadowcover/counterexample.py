@@ -42,6 +42,10 @@ class ReliableCoverError(ValueError):
     """Raised when asked to build a counterexample against a reliable cover."""
 
 
+class NoUsableScaleError(ValueError):
+    """Raised when a sampled shadow leaves no room to enlarge the body."""
+
+
 def build_S(l: Polytope, family: SimplicialFamily, d: int | None = None) -> Polytope:
     """Hull of the family facets' centroids; supports match L on the family.
 
@@ -96,6 +100,22 @@ def _alpha_scan(
     return alpha_min
 
 
+def _check_scale_search(trials: int, margin: Fraction) -> None:
+    if not 0 < margin < 1:
+        raise ValueError("margin must be strictly between 0 and 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
+def _scale_from(alpha_min: Fraction, margin: Fraction) -> Fraction:
+    """The counterexample scale 1 + margin * (alpha_min - 1), if alpha_min > 1."""
+    if alpha_min <= 1:
+        raise NoUsableScaleError(
+            "no usable scale: a sampled shadow admits no enlargement"
+        )
+    return 1 + margin * (alpha_min - 1)
+
+
 def find_alpha(
     l: Polytope,
     s: Polytope,
@@ -111,16 +131,8 @@ def find_alpha(
     when alpha_min <= 1: then S already touches some sampled shadow too
     tightly and no counterexample scale can be certified this way.
     """
-    if not 0 < margin < 1:
-        raise ValueError("margin must be strictly between 0 and 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    alpha_min = _alpha_scan(l, s, d, sampler, trials)
-    if alpha_min <= 1:
-        raise ValueError(
-            "no usable scale: a sampled shadow admits no enlargement"
-        )
-    return 1 + margin * (alpha_min - 1)
+    _check_scale_search(trials, margin)
+    return _scale_from(_alpha_scan(l, s, d, sampler, trials), margin)
 
 
 @dataclass(frozen=True)
@@ -206,11 +218,13 @@ def build_counterexample(
     """Full pipeline: family search, body construction, scale, verification.
 
     Raises ReliableCoverError when L is d-reliable (then no body can hide
-    behind L without fitting inside, so no counterexample exists).  The
+    behind L without fitting inside, so no counterexample exists).  When L
+    is unreliable but this run certifies no scale, it raises
+    NoUsableScaleError (alpha_min <= 1) or RuntimeError (a sampled shadow
+    scale is unbounded, or the fresh shadow sample failed).  The
     verification seed is derived as seed+1 and recorded in the bundle.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_scale_search(trials, margin)
     verdict: ReliabilityVerdict = is_reliable(l, d)
     if verdict.reliable:
         raise ReliableCoverError(f"cover is {d}-reliable; no counterexample exists")
@@ -218,9 +232,7 @@ def build_counterexample(
     s = build_S(l, family, d)
     sampler = SubspaceSampler(seed, d, entry_bound)
     alpha_min = _alpha_scan(l, s, d, sampler, trials)
-    if alpha_min <= 1:
-        raise ValueError("no usable scale: a sampled shadow admits no enlargement")
-    alpha = 1 + margin * (alpha_min - 1)
+    alpha = _scale_from(alpha_min, margin)
     cert = family_certificate(l, family, s, alpha)
     verify_seed = seed + 1
     scaled = scale_polytope(s, alpha)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kernels import int_nullspace, int_rank
+from .kernels import int_echelon, int_nullspace, int_rank
 from .linalg import integerize, inverse, matrix, transpose
 from .polytope import (
     Polytope,
@@ -34,7 +34,6 @@ from .polytope import (
     project,
     translate_of,
 )
-from .polytope import _integer_echelon
 from .reliability import DirectionSet, facet_direction_set, is_reliable
 
 
@@ -101,7 +100,7 @@ def _components_of(a: DirectionSet) -> list[Component]:
     comps = []
     for root in sorted(groups):
         members = tuple(sorted(groups[root]))
-        basis = _integer_echelon([dirs[j] for j in members])
+        basis = int_echelon([dirs[j] for j in members])
         comps.append(Component(Subspace(n, matrix(basis)), members))
 
     total = sum(c.subspace.dim for c in comps)

@@ -1,12 +1,9 @@
-"""Pure-Python integer kernels: the hot inner loops of the library.
+"""Integer kernels: the hot inner loops of the library, in pure Python.
 
-Everything here works on plain integer tuples/lists so that a compiled twin
-(`shadowcover.kernels._speedups`) can mirror it statement for statement.
-Callers scale rational data to integers first; rank, nullspaces, circuits and
-facet scans are all invariant under that scaling.
-
-All functions are pure and deterministic; outputs never depend on the chosen
-backend.
+Everything here works on plain integer tuples/lists.  Callers scale rational
+data to integers first; rank, nullspaces, row spaces, circuits and facet
+scans are all invariant under that scaling.  All functions are pure and
+deterministic.
 """
 
 from itertools import combinations
@@ -27,14 +24,20 @@ def _reduce_row(row):
     return row
 
 
-def int_rank(rows):
-    """Rank of an integer matrix, by fraction-free Gaussian elimination."""
+def _eliminate(rows, full):
+    """Fraction-free Gaussian elimination with content-reduced rows.
+
+    Returns (m, pivots): the reduced rows, the first len(pivots) of which
+    are the pivot rows, and their pivot columns.  With full, each pivot
+    clears its column in every other row (reduced echelon form); otherwise
+    only in the rows below it, which is enough for the rank.
+    """
     m = [list(r) for r in rows if any(r)]
+    pivots = []
     if not m:
-        return 0
-    ncols = len(m[0])
+        return m, pivots
     rank = 0
-    for col in range(ncols):
+    for col in range(len(m[0])):
         piv = -1
         for i in range(rank, len(m)):
             if m[i][col]:
@@ -45,15 +48,38 @@ def int_rank(rows):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         pval = prow[col]
-        for i in range(rank + 1, len(m)):
+        for i in range(0 if full else rank + 1, len(m)):
             v = m[i][col]
-            if v:
+            if v and i != rank:
                 row = m[i]
                 m[i] = _reduce_row([pval * a - v * b for a, b in zip(row, prow)])
+        pivots.append(col)
         rank += 1
         if rank == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def int_rank(rows):
+    """Rank of an integer matrix, by fraction-free Gaussian elimination."""
+    return len(_eliminate(rows, False)[1])
+
+
+def int_echelon(rows):
+    """Canonical integer basis of a row space (reduced echelon form).
+
+    Full elimination with content-reduced rows and positive pivots, so the
+    output depends only on the row space, not on the order or scaling of the
+    input rows.
+    """
+    m, pivots = _eliminate(rows, True)
+    out = []
+    for r, col in enumerate(pivots):
+        row = m[r]
+        if row[col] < 0:
+            row = [-x for x in row]
+        out.append(tuple(_reduce_row(row)))
+    return out
 
 
 def int_nullspace(rows, ncols):
@@ -62,31 +88,7 @@ def int_nullspace(rows, ncols):
     Returns content-reduced integer vectors, one per free column of the
     reduced echelon form, in increasing free-column order.
     """
-    m = [list(r) for r in rows if any(r)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for i in range(len(m)):
-            if i == rank:
-                continue
-            v = m[i][col]
-            if v:
-                row = m[i]
-                m[i] = _reduce_row([pval * a - v * b for a, b in zip(row, prow)])
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
+    m, pivots = _eliminate(rows, True)
     pivot_cols = set(pivots)
     denom = 1
     for r, c in enumerate(pivots):
@@ -99,10 +101,7 @@ def int_nullspace(rows, ncols):
         vec[free] = denom
         for r, c in enumerate(pivots):
             vec[c] = -m[r][free] * (denom // m[r][c])
-        g = _content(vec)
-        if g > 1:
-            vec = [x // g for x in vec]
-        basis.append(tuple(vec))
+        basis.append(tuple(_reduce_row(vec)))
     return basis
 
 
@@ -130,64 +129,66 @@ def circuits(vectors, min_size, max_size, positive_only=False, limit=0):
     dim = len(vectors[0])
     prefix_cap = min(max_size - 1, dim)
     out = []
-
-    def dfs(start, chosen, echelon):
+    # explicit DFS stack of [next candidate, chosen prefix, prefix echelon]
+    stack = [[0, (), []]]
+    while stack:
+        frame = stack[-1]
+        j, chosen, echelon = frame
+        if j == nvec:
+            stack.pop()
+            continue
+        frame[0] = j + 1
         k = len(chosen)
-        for j in range(start, nvec):
-            w = list(vectors[j])
-            wc = [0] * k
-            s = 1
-            for prow, pcol, pcombo in echelon:
-                x = w[pcol]
-                if x:
-                    pv = prow[pcol]
-                    w = [pv * a - x * b for a, b in zip(w, prow)]
-                    np = len(pcombo)
-                    for idx in range(np):
-                        wc[idx] = pv * wc[idx] + x * pcombo[idx]
-                    for idx in range(np, k):
-                        wc[idx] = pv * wc[idx]
-                    s = pv * s
-            pcol = -1
-            for idx in range(dim):
-                if w[idx]:
-                    pcol = idx
-                    break
-            if pcol < 0:
-                # dependent: sum(wc[i]*u_chosen[i]) - s*v_j = 0
-                size = k + 1
-                if min_size <= size <= max_size and all(wc):
-                    coeffs = wc + [-s]
-                    g = _content(coeffs)
-                    if g > 1:
-                        coeffs = [c // g for c in coeffs]
-                    if positive_only:
-                        if coeffs[-1] < 0:
-                            coeffs = [-c for c in coeffs]
-                        if all(c > 0 for c in coeffs):
-                            out.append((chosen + (j,), tuple(coeffs)))
-                            if limit and len(out) >= limit:
-                                return True
-                    else:
-                        for c in coeffs:
-                            if c:
-                                if c < 0:
-                                    coeffs = [-x for x in coeffs]
-                                break
+        w = list(vectors[j])
+        wc = [0] * k
+        s = 1
+        for prow, pcol, pcombo in echelon:
+            x = w[pcol]
+            if x:
+                pv = prow[pcol]
+                w = [pv * a - x * b for a, b in zip(w, prow)]
+                np = len(pcombo)
+                for idx in range(np):
+                    wc[idx] = pv * wc[idx] + x * pcombo[idx]
+                for idx in range(np, k):
+                    wc[idx] = pv * wc[idx]
+                s = pv * s
+        pcol = -1
+        for idx in range(dim):
+            if w[idx]:
+                pcol = idx
+                break
+        if pcol < 0:
+            # dependent: sum(wc[i]*u_chosen[i]) - s*v_j = 0
+            size = k + 1
+            if min_size <= size <= max_size and all(wc):
+                coeffs = wc + [-s]
+                g = _content(coeffs)
+                if g > 1:
+                    coeffs = [c // g for c in coeffs]
+                if positive_only:
+                    if coeffs[-1] < 0:
+                        coeffs = [-c for c in coeffs]
+                    if all(c > 0 for c in coeffs):
                         out.append((chosen + (j,), tuple(coeffs)))
                         if limit and len(out) >= limit:
-                            return True
-            elif k + 1 <= prefix_cap:
-                combo = [-c for c in wc] + [s]
-                g = _content(w + combo)
-                if g > 1:
-                    w = [y // g for y in w]
-                    combo = [c // g for c in combo]
-                if dfs(j + 1, chosen + (j,), echelon + [(w, pcol, combo)]):
-                    return True
-        return False
-
-    dfs(0, (), [])
+                            return out
+                else:
+                    for c in coeffs:
+                        if c:
+                            if c < 0:
+                                coeffs = [-x for x in coeffs]
+                            break
+                    out.append((chosen + (j,), tuple(coeffs)))
+                    if limit and len(out) >= limit:
+                        return out
+        elif k + 1 <= prefix_cap:
+            combo = [-c for c in wc] + [s]
+            g = _content(w + combo)
+            if g > 1:
+                w = [y // g for y in w]
+                combo = [c // g for c in combo]
+            stack.append([j + 1, chosen + (j,), echelon + [(w, pcol, combo)]])
     return out
 
 

@@ -47,10 +47,6 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def is_zero(u: Sequence[Fraction]) -> bool:
-    return not any(u)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
@@ -135,26 +131,6 @@ def nullspace(m: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return [vector(b) for b in basis]
 
 
-def solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
-    """Solve a square nonsingular system exactly (Gauss-Jordan)."""
-    n = len(m)
-    if any(len(row) != n for row in m) or len(rhs) != n:
-        raise ValueError("solve expects a square system")
-    aug = [list(row) + [b] for row, b in zip(m, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [a / pval for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
     """Exact inverse of a square nonsingular matrix."""
     n = len(m)
@@ -176,53 +152,6 @@ def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
-def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant expects a square matrix")
-    work = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        pval = work[col][col]
-        det *= pval
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] / pval
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return det
-
-
-def cross_product(rows: Sequence[Sequence[Fraction]], dim: int) -> Vector:
-    """Generalised cross product of dim-1 rational rows in R^dim.
-
-    Orthogonal to every row, zero exactly when the rows are dependent; for a
-    simplex facet spanned by the rows its length is (dim-1)! times the facet
-    (dim-1)-volume, which is what the facet area vectors are built from.
-    """
-    if len(rows) != dim - 1:
-        raise ValueError("cross product needs dim-1 rows")
-    if dim == 1:
-        return (Fraction(1),)
-    out = []
-    sign = Fraction(1)
-    for k in range(dim):
-        minor = tuple(
-            tuple(r[c] for c in range(dim) if c != k) for r in rows
-        )
-        out.append(sign * determinant(minor))
-        sign = -sign
-    return tuple(out)
-
-
 def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> Matrix:
     """The map x -> (B B^T)^-1 B x of coordinates in the row space of B.
 
@@ -235,9 +164,3 @@ def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> Matrix:
         raise ValueError("basis rows are dependent")
     gram = matmul(b, transpose(b))
     return matmul(inverse(gram), b)
-
-
-def orthogonal_projector(basis: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Matrix of orthogonal projection onto the row space: B^T (B B^T)^-1 B."""
-    b = matrix(basis)
-    return matmul(transpose(b), coordinate_map(b))

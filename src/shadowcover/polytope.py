@@ -9,7 +9,7 @@ space.
 
 Facet enumeration is brute force over point subsets (cost C(V, d) * V inside
 the affine hull) which is exact and entirely adequate for the desk-scale
-bodies this library targets; see the kernels module for the inner loop.
+bodies this library targets; the inner loop is ``kernels.hull_facets``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from .linalg import (
     Vector,
     add,
     coordinate_map,
-    cross_product,
     dot,
+    identity,
     integerize,
     matrix,
     matvec,
     neg,
-    orthogonal_projector,
     rank,
     scale,
     sub,
@@ -79,9 +78,6 @@ class Subspace:
         """The subspace point with the given coordinates."""
         return matvec(transpose(self.basis), c)
 
-    def projector(self) -> Matrix:
-        return orthogonal_projector(self.basis)
-
 
 def subspace(ambient_dim: int, rows: Iterable[Iterable[object]]) -> Subspace:
     return Subspace(ambient_dim, matrix(rows))
@@ -124,46 +120,6 @@ class Polytope:
         return scale(Fraction(1, n), acc)
 
 
-def _integer_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Canonical integer basis of a row space (reduced echelon form).
-
-    Full Gauss-Jordan with content-reduced rows and positive pivots, so the
-    output depends only on the row space, not on the order or scaling of the
-    input rows.
-    """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    rank_ = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank_, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        prow = m[rank_]
-        pval = prow[col]
-        for i in range(len(m)):
-            if i == rank_:
-                continue
-            v = m[i][col]
-            if v:
-                new = [pval * a - v * b for a, b in zip(m[i], prow)]
-                m[i] = list(integerize(vector(new)))
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == len(m):
-            break
-    out = []
-    for r, col in enumerate(pivots):
-        row = m[r]
-        if row[col] < 0:
-            row = [-x for x in row]
-        out.append(tuple(integerize(vector(row))))
-    return out
-
-
 def _scale_to_integers(points: Sequence[Vector]) -> list[tuple[int, ...]]:
     den = 1
     for p in points:
@@ -191,7 +147,7 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
 
     p0 = pts[0]
     diff_rows = [integerize(sub(p, p0)) for p in pts[1:]]
-    basis_int = _integer_echelon(diff_rows)
+    basis_int = kernels.int_echelon(diff_rows)
     adim = len(basis_int)
 
     if adim == n:
@@ -231,12 +187,10 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
 
     # canonical basis: a function of the final vertex set, not the raw input
     if adim == n:
-        final_basis = matrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        final_basis = identity(n)
     else:
         final_basis = matrix(
-            _integer_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
+            kernels.int_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
         )
     return Polytope(n, verts, tuple(facets), adim, final_basis)
 
@@ -331,7 +285,7 @@ def embed(p: Polytope, target_dim: int) -> Polytope:
         basis: Matrix = ()
     else:
         basis = matrix(
-            _integer_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
+            kernels.int_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
         )
     return _trusted(target_dim, verts, facets, p.affine_dim, basis)
 
@@ -425,10 +379,13 @@ def facet_area_vectors(p: Polytope) -> list[Vector]:
         total = zero_vector(n)
         for s in _triangulate(face):
             rows = [sub(v, s[0]) for v in s[1:]]
-            c = cross_product(rows, n)
+            # cross(D r_1, ..., D r_{n-1}) = D^(n-1) cross(r_1, ..., r_{n-1})
+            den = lcm(*(x.denominator for r in rows for x in r))
+            ints = [[int(x * den) for x in r] for r in rows]
+            c = vector(kernels.cross_rows(ints, n))
             if dot(c, f.normal) < 0:
                 c = neg(c)
-            total = add(total, c)
+            total = add(total, scale(Fraction(1, den ** (n - 1)), c))
         out.append(scale(Fraction(1, factorial(n - 1)), total))
     return out
 

@@ -185,6 +185,49 @@ def test_counterexample_reliable_cover_exits_1(capsys, pyramid_file):
     assert "2-reliable" in err
 
 
+def _no_counterexample(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"no counterexample: {reason}"]
+
+
+def test_counterexample_unbounded_scale_exits_1(capsys, pyramid_file):
+    # at seed 0, trial 493 samples a line on which the shadow of S is a point
+    _no_counterexample(
+        capsys,
+        ["counterexample", pyramid_file, "--d", "1", "--seed", "0"],
+        "maximal scale is unbounded (degenerate body)",
+    )
+
+
+def test_counterexample_margin_insufficient_exits_1(capsys, tmp_path):
+    path = tmp_path / "cross4.json"
+    write_json(path, polytope_to_doc(named("cross-polytope-4")))
+    _no_counterexample(
+        capsys,
+        ["counterexample", str(path), "--d", "1", "--seed", "2",
+         "--trials", "5", "--verify-trials", "40"],
+        "safety margin insufficient: a fresh shadow sample failed; "
+        "retry with a smaller margin or more search trials",
+    )
+
+
+def test_counterexample_no_usable_scale_exits_1(capsys, monkeypatch, tmp_path):
+    from fractions import Fraction
+
+    from shadowcover import counterexample
+
+    monkeypatch.setattr(counterexample, "_alpha_scan", lambda *a: Fraction(1))
+    path = tmp_path / "oct.json"
+    write_json(path, polytope_to_doc(named("octahedron")))
+    _no_counterexample(
+        capsys,
+        ["counterexample", str(path), "--d", "2", "--seed", "7"],
+        "no usable scale: a sampled shadow admits no enlargement",
+    )
+
+
 def test_corpus_listing_and_output(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus")
     assert code == 0 and "square-pyramid" in out
@@ -236,7 +279,7 @@ def test_shadow_cover_bound_zero_exits_without_hanging(cube_file, big_cube_file)
         capture_output=True,
         text=True,
         timeout=60,
-        env={"PYTHONPATH": src, "SHADOWCOVER_PURE": "1"},
+        env={"PYTHONPATH": src},
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

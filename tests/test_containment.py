@@ -184,7 +184,7 @@ def test_verdict_guard_survives_python_O():
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": src, "SHADOWCOVER_PURE": "1"},
+        env={"PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     assert "re-verification" in proc.stdout

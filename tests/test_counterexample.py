@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from shadowcover import counterexample
 from shadowcover.containment import (
     SubspaceSampler,
     sampled_shadow_cover,
     translate_fit,
 )
 from shadowcover.counterexample import (
+    NoUsableScaleError,
     ReliableCoverError,
     build_S,
     build_counterexample,
@@ -58,8 +60,18 @@ def test_find_alpha_is_above_one(octahedron):
 
 
 def test_find_alpha_rejects_identical_bodies(octahedron):
-    with pytest.raises(ValueError):
+    with pytest.raises(NoUsableScaleError):
         find_alpha(octahedron, octahedron, 2, SubspaceSampler(3, 2), trials=40)
+
+
+@pytest.mark.parametrize("margin", [F(0), F(1)])
+def test_margin_checked_before_family_search(octahedron, monkeypatch, margin):
+    def family_search(*args):
+        raise AssertionError("family search started")
+
+    monkeypatch.setattr(counterexample, "is_reliable", family_search)
+    with pytest.raises(ValueError, match="margin"):
+        build_counterexample(octahedron, 2, seed=7, trials=10, margin=margin)
 
 
 def test_nonpositive_trials_rejected(octahedron):

@@ -1,20 +1,11 @@
-"""Backend parity: the compiled kernels must match the pure ones bit for bit."""
+"""The integer kernels: circuits, canonical row bases and their garbage."""
 
-import pytest
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sy_rank
-from shadowcover.kernels import backend_name, pure
-
-try:
-    from shadowcover.kernels import _speedups as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernels not built"
-)
+from shadowcover import backend_name, kernels
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -28,82 +19,9 @@ def int_matrices(draw, max_rows=5, max_cols=5):
     ]
 
 
-@st.composite
-def direction_lists(draw):
-    dim = draw(st.integers(2, 4))
-    count = draw(st.integers(2, 7))
-    vecs = []
-    for _ in range(count):
-        v = tuple(draw(small_int) for _ in range(dim))
-        if any(v):
-            vecs.append(v)
-    if not vecs:
-        vecs = [tuple([1] + [0] * (dim - 1))]
-    return vecs
-
-
-@st.composite
-def point_clouds(draw):
-    dim = draw(st.integers(1, 3))
-    count = draw(st.integers(dim + 1, dim + 5))
-    pts = {
-        tuple(draw(st.integers(-4, 4)) for _ in range(dim))
-        for _ in range(count)
-    }
-    return sorted(pts)
-
-
-@needs_compiled
-@given(int_matrices())
-@settings(max_examples=150, deadline=None)
-def test_rank_parity(rows):
-    assert pure.int_rank(rows) == compiled.int_rank(rows) == sy_rank(rows)
-
-
-@needs_compiled
-@given(int_matrices())
-@settings(max_examples=150, deadline=None)
-def test_nullspace_parity(rows):
-    ncols = len(rows[0])
-    assert pure.int_nullspace(rows, ncols) == compiled.int_nullspace(rows, ncols)
-
-
-@needs_compiled
-@given(direction_lists())
-@settings(max_examples=150, deadline=None)
-def test_circuits_parity(vecs):
-    dim = len(vecs[0])
-    for positive in (False, True):
-        a = pure.circuits(vecs, 2, dim + 1, positive_only=positive)
-        b = compiled.circuits(vecs, 2, dim + 1, positive_only=positive)
-        assert a == b
-
-
-@needs_compiled
-@given(direction_lists())
-@settings(max_examples=60, deadline=None)
-def test_circuits_limit_parity(vecs):
-    dim = len(vecs[0])
-    a = pure.circuits(vecs, 2, dim + 1, positive_only=True, limit=1)
-    b = compiled.circuits(vecs, 2, dim + 1, positive_only=True, limit=1)
-    assert a == b
-    full = pure.circuits(vecs, 2, dim + 1, positive_only=True)
-    assert a == full[:1]
-
-
-@needs_compiled
-@given(point_clouds())
-@settings(max_examples=120, deadline=None)
-def test_hull_facets_parity(pts):
-    dim = len(pts[0])
-    if pure.int_rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts]) != dim:
-        return  # hull_facets expects full-dimensional input
-    assert pure.hull_facets(pts) == compiled.hull_facets(pts)
-
-
 def test_circuit_properties():
     vecs = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0)]
-    found = pure.circuits(vecs, 2, 3, positive_only=True)
+    found = kernels.circuits(vecs, 2, 3, positive_only=True)
     for members, coeffs in found:
         assert all(c > 0 for c in coeffs)
         dim = len(vecs[0])
@@ -113,11 +31,36 @@ def test_circuit_properties():
                 total[k] += c * vecs[i][k]
         assert not any(total)
         # every proper subset is independent
-        assert pure.int_rank([vecs[i] for i in members]) == len(members) - 1
+        assert kernels.int_rank([vecs[i] for i in members]) == len(members) - 1
         for drop in range(len(members)):
             rest = [vecs[i] for j, i in enumerate(members) if j != drop]
-            assert pure.int_rank(rest) == len(rest)
+            assert kernels.int_rank(rest) == len(rest)
+
+
+def test_circuits_leave_no_garbage():
+    vecs = [(1, 0, 2), (0, 1, -1), (-1, -1, -1), (1, 1, 0), (-1, 0, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        kernels.circuits(vecs, 2, 4)
+        kernels.circuits(vecs, 2, 4, positive_only=True, limit=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@given(int_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_echelon_depends_only_on_row_space(rows, rng):
+    basis = kernels.int_echelon(rows)
+    assert len(basis) == kernels.int_rank(rows)
+    scales = [rng.choice((-3, -1, 2)) for _ in rows]
+    mixed = [tuple(c * x for x in r) for c, r in zip(scales, rows)]
+    rng.shuffle(mixed)
+    mixed.append(tuple(a + b for a, b in zip(rows[0], rows[-1])))
+    assert kernels.int_echelon(mixed) == basis
+    assert kernels.int_rank(basis + list(rows)) == len(basis)
 
 
 def test_backend_name_reports():
-    assert backend_name() in ("pure", "compiled")
+    assert backend_name() == "pure"

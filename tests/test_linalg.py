@@ -11,12 +11,19 @@ from shadowcover.linalg import (
     matrix,
     matvec,
     nullspace,
-    orthogonal_projector,
     rank,
     vector,
 )
+from shadowcover.polytope import Subspace
 
 F = Fraction
+
+
+def projector(rows):
+    """Matrix of x -> lift(coords_of(x)), orthogonal projection onto the rows."""
+    xi = Subspace(len(rows[0]), matrix(rows))
+    # the projection is symmetric, so the images of the unit vectors are its rows
+    return tuple(xi.lift(xi.coords_of(e)) for e in identity(xi.ambient_dim))
 
 
 def test_rank_identity():
@@ -52,18 +59,18 @@ def test_nullspace_one_by_two():
 
 
 def test_projector_axis():
-    p = orthogonal_projector(matrix([(1, 0)]))
+    p = projector(matrix([(1, 0)]))
     assert p == matrix([(1, 0), (0, 0)])
 
 
 def test_projector_diagonal():
-    p = orthogonal_projector(matrix([(1, 1)]))
+    p = projector(matrix([(1, 1)]))
     assert p == matrix([(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))])
 
 
 def test_projector_rejects_dependent_rows():
     with pytest.raises(ValueError):
-        orthogonal_projector(matrix([(1, 1), (2, 2)]))
+        projector(matrix([(1, 1), (2, 2)]))
 
 
 def test_integerize_clears_denominators_and_content():
@@ -107,7 +114,7 @@ def test_projector_identities(rows):
     m = matrix(rows)
     if rank(m) != len(rows):
         return
-    p = orthogonal_projector(m)
+    p = projector(m)
     n = len(rows[0])
     # idempotent, symmetric, fixes the basis rows
     from shadowcover.linalg import matmul, transpose

@@ -1,6 +1,10 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import hrep_vertices
 from shadowcover.corpus import random_polytope, random_symmetric_polytope
 from shadowcover.linalg import matvec, transpose, vector
@@ -295,3 +299,68 @@ def test_projection_support_consistency(random_body):
         w = matvec(transpose(xi.basis), vector(coeffs))
         gamma = matvec(xi.basis, w)
         assert shadow.support(gamma) == p.support(w)
+
+
+def _pinned_clouds():
+    """Seeded point clouds in R^1..R^4: every affine dimension from a point
+    up to full, rational coordinates, repeated and redundant points."""
+    rng = random.Random(20261018)
+
+    def coord():
+        if rng.random() < 0.3:
+            return F(rng.randint(-6, 6), rng.randint(1, 4))
+        return F(rng.randint(-4, 4))
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        origin = tuple(coord() for _ in range(n))
+        k = rng.randint(1, n)
+        dirs = [tuple(coord() for _ in range(n)) for _ in range(k)]
+        pts = []
+        for _ in range(rng.randint(1, k + 5)):
+            c = [rng.randint(-2, 2) for _ in dirs]
+            pts.append(tuple(
+                o + sum((ci * d[j] for ci, d in zip(c, dirs)), F(0))
+                for j, o in enumerate(origin)
+            ))
+        yield pts
+
+
+def test_hulls_pinned_by_digest():
+    """Vertices, facets and affine bases of 300 seeded hulls, pinned by a
+    digest recorded before the kernels and the row-space echelon shared one
+    elimination routine."""
+    hulls = [hull_from_vertices(pts) for pts in _pinned_clouds()]
+    assert [sum(p.affine_dim == k for p in hulls) for k in range(5)] == [
+        54, 135, 63, 35, 13,
+    ]
+    assert sum(p.is_full_dimensional for p in hulls) == 108
+    text = "\n".join(
+        repr((p.vertices, p.facets, p.affine_dim, p.affine_basis)) for p in hulls
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9ac8b843c143aefc57dd30ab2894bfa97c22d70900cf6ce74b4b0f53d488e41d"
+    )
+
+
+@st.composite
+def integer_clouds(draw):
+    n = draw(st.integers(2, 3))
+    pts = draw(st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n), min_size=n + 1, max_size=n + 5,
+    ))
+    return n, pts
+
+
+@given(integer_clouds())
+@settings(max_examples=100, deadline=None)
+def test_hull_matches_hrep_oracle(cloud):
+    n, pts = cloud
+    p = hull_from_vertices(pts)
+    if not p.is_full_dimensional:
+        return
+    # the facets' H-representation has exactly the hull's vertices
+    assert hrep_vertices([(f.normal, f.offset) for f in p.facets], n) == set(
+        p.vertices
+    )
+    assert set(p.vertices) <= {vector(q) for q in pts}
