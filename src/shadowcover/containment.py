@@ -45,7 +45,6 @@ from .polytope import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -317,27 +316,19 @@ def sampled_shadow_cover(
     )
 
 
-def _pairwise_orthogonal(parts: Sequence[tuple[Subspace, Polytope]]) -> bool:
-    for i in range(len(parts)):
-        bi = parts[i][0].basis
-        for j in range(i + 1, len(parts)):
-            for row in parts[j][0].basis:
-                if any(matvec(bi, row)):
-                    return False
-    return True
-
-
 def product_containment(
     k: Polytope, parts: Sequence[tuple[Subspace, Polytope]]
 ) -> ContainmentVerdict:
     """Containment of K in a direct sum C, decided component by component.
 
-    The component subspaces must decompose the ambient space.  For an
-    orthogonal decomposition, K fits in C exactly when each shadow of K fits
-    in the matching factor, and the per-component witnesses add up.  A
-    non-orthogonal decomposition is first straightened by the linear map
-    sending the stacked component bases to coordinate blocks, and the
-    witness is mapped back through the inverse.
+    The component subspaces must decompose the ambient space.  With the
+    component bases B_i stacked as the rows of M, the map psi = (M^T)^-1
+    sends C to the block product of the factors C_i, so K fits in C exactly
+    when block i of psi K fits in C_i for every i.  The first failing
+    component's verdict is returned with its index; otherwise the block
+    witnesses, stacked as w, give the witness M^T w.  For mutually
+    orthogonal components, block i of psi x is G_i^-1 B_i x with
+    G_i = B_i B_i^T: the coordinates of x's shadow on component i.
     """
     if not parts:
         raise ValueError("product containment needs at least one component")
@@ -352,37 +343,23 @@ def product_containment(
     if len(stacked) != n or int_rank([integerize(r) for r in stacked]) != n:
         raise ValueError("components do not form a direct sum of the space")
 
-    if _pairwise_orthogonal(parts):
-        v = zero_vector(n)
-        for idx, (sp, factor) in enumerate(parts):
-            verdict = translate_fit(project(k, sp), factor)
-            if not verdict.fits:
-                return ContainmentVerdict(
-                    False,
-                    certificate=verdict.certificate,
-                    hull_mismatch=verdict.hull_mismatch,
-                    component=idx,
-                )
-            v = add(v, sp.lift(verdict.witness))
-        _require_fit(k, direct_sum_assemble(parts), v)
-        return ContainmentVerdict(True, witness=v)
-
-    m = matrix(stacked)
-    psi = inverse(transpose(m))
-    straightened_k = hull_from_vertices([matvec(psi, x) for x in k.vertices])
-    blocks: list[tuple[Subspace, Polytope]] = []
-    offset = 0
-    for sp, factor in parts:
-        rows = []
-        for r in range(sp.dim):
-            row = [ZERO] * n
-            row[offset + r] = ONE
-            rows.append(tuple(row))
-        blocks.append((Subspace(n, tuple(rows)), factor))
-        offset += sp.dim
-    verdict = product_containment(straightened_k, blocks)
-    if not verdict.fits:
-        return verdict
-    v = matvec(transpose(m), verdict.witness)
+    mt = transpose(stacked)
+    psi = inverse(mt)
+    images = [matvec(psi, x) for x in k.vertices]
+    w: list[Fraction] = []
+    start = 0
+    for idx, (sp, factor) in enumerate(parts):
+        block = hull_from_vertices([y[start:start + sp.dim] for y in images])
+        start += sp.dim
+        verdict = translate_fit(block, factor)
+        if not verdict.fits:
+            return ContainmentVerdict(
+                False,
+                certificate=verdict.certificate,
+                hull_mismatch=verdict.hull_mismatch,
+                component=idx,
+            )
+        w.extend(verdict.witness)
+    v = matvec(mt, w)
     _require_fit(k, direct_sum_assemble(parts), v)
     return ContainmentVerdict(True, witness=v)

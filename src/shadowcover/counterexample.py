@@ -43,7 +43,7 @@ class ReliableCoverError(ValueError):
 
 
 class NoUsableScaleError(ValueError):
-    """Raised when a sampled shadow leaves no room to enlarge the body."""
+    """Raised when the sampled shadows leave no room to enlarge the body."""
 
 
 def build_S(l: Polytope, family: SimplicialFamily, d: int | None = None) -> Polytope:
@@ -87,16 +87,23 @@ def family_certificate(
 def _alpha_scan(
     l: Polytope, s: Polytope, d: int, sampler: SubspaceSampler, trials: int
 ) -> Fraction:
-    """Minimum over sampled d-subspaces of the maximal shadow scaling."""
+    """Minimum over sampled d-subspaces of the maximal shadow scaling.
+
+    A subspace on which the shadow of S is a single point is skipped: a
+    point fits at every scale, so it bounds nothing.
+    """
     stream = sampler.stream(l.dim)
     alpha_min: Fraction | None = None
     for _ in range(trials):
         xi = next(stream)
-        alpha, _ = max_scale(project(s, xi), project(l, xi))
+        shadow = project(s, xi)
+        if shadow.affine_dim == 0:
+            continue
+        alpha, _ = max_scale(shadow, project(l, xi))
         if alpha_min is None or alpha < alpha_min:
             alpha_min = alpha
     if alpha_min is None:
-        raise AssertionError("alpha scan ran no trials")
+        raise NoUsableScaleError("no usable scale: every sampled shadow is a point")
     return alpha_min
 
 
@@ -220,8 +227,8 @@ def build_counterexample(
     Raises ReliableCoverError when L is d-reliable (then no body can hide
     behind L without fitting inside, so no counterexample exists).  When L
     is unreliable but this run certifies no scale, it raises
-    NoUsableScaleError (alpha_min <= 1) or RuntimeError (a sampled shadow
-    scale is unbounded, or the fresh shadow sample failed).  The
+    NoUsableScaleError (alpha_min <= 1, or every sampled shadow of the body
+    is a point) or RuntimeError (the fresh shadow sample failed).  The
     verification seed is derived as seed+1 and recorded in the bundle.
     """
     _check_scale_search(trials, margin)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernels import int_nullspace, int_rank
+from .kernels import _eliminate, int_nullspace, int_rank
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -132,24 +132,28 @@ def nullspace(m: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact inverse of a square nonsingular matrix."""
+    """Exact inverse of a square nonsingular matrix.
+
+    One fraction-free elimination of [D M | I], D the common denominator of
+    M's entries, turns it into [P | X] with P diagonal, so that row r of
+    M^-1 is D X_r / P_rr.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse expects a square matrix")
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [a / pval for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    den = lcm(1, *[x.denominator for row in m for x in row])
+    aug = [
+        [x.numerator * (den // x.denominator) for x in row]
+        + [int(i == j) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    rows, pivots = _eliminate(aug, True)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(
+        tuple(Fraction(den * x, row[r]) for x in row[n:])
+        for r, row in enumerate(rows)
+    )
 
 
 def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> Matrix:

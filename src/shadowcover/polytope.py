@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -26,7 +26,6 @@ from .linalg import (
     add,
     coordinate_map,
     dot,
-    identity,
     integerize,
     matrix,
     matvec,
@@ -120,19 +119,13 @@ class Polytope:
         return scale(Fraction(1, n), acc)
 
 
-def _scale_to_integers(points: Sequence[Vector]) -> list[tuple[int, ...]]:
-    den = 1
-    for p in points:
-        for x in p:
-            den = lcm(den, x.denominator)
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
-
-
 def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
     """Convex hull of the given points; redundant points are dropped.
 
     Works inside the affine hull, so segments, polygons in space, and other
-    lower-dimensional bodies are fine.
+    lower-dimensional bodies are fine: those are hulled in the coordinates
+    y = B p of the hull's integer echelon basis B, and a kernel normal a
+    maps back to the ambient normal B^T a.
     """
     pts = sorted({vector(p) for p in points})
     if not pts:
@@ -145,21 +138,14 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
     if len(pts) == 1:
         return Polytope(n, (pts[0],), (), 0, ())
 
-    p0 = pts[0]
-    diff_rows = [integerize(sub(p, p0)) for p in pts[1:]]
-    basis_int = kernels.int_echelon(diff_rows)
-    adim = len(basis_int)
-
-    if adim == n:
-        coords = pts
-        back = None
-    else:
-        basis = matrix(basis_int)
-        cmap = coordinate_map(basis)
-        coords = [matvec(cmap, sub(p, p0)) for p in pts]
-        back = transpose(cmap)
-
-    icoords = _scale_to_integers(coords)
+    den = lcm(1, *[x.denominator for p in pts for x in p])
+    icoords = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+    q0 = icoords[0]
+    basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in icoords[1:]])
+    adim = len(basis)
+    if adim < n:
+        icoords = [tuple(sum(b * x for b, x in zip(row, p)) for row in basis)
+                   for p in icoords]
     raw_facets = kernels.hull_facets(icoords)
 
     extreme: list[int] = []
@@ -174,29 +160,16 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
     verts = tuple(pts[i] for i in extreme)
 
     facets = []
-    for nrm, _, inc in raw_facets:
-        if back is None:
-            normal = vector(nrm)
-        else:
-            normal = matvec(back, vector(nrm))
-        nint = vector(integerize(normal))
-        offset = max(dot(nint, v) for v in verts)
+    for nrm, b, inc in raw_facets:
+        # a.(B den p) <= b on the hull, so (B^T a).p <= b / den
+        if adim < n:
+            nrm = [sum(a * row[k] for a, row in zip(nrm, basis)) for k in range(n)]
+        g = gcd(*nrm)
+        normal = tuple(Fraction(x // g) for x in nrm)
         incident = tuple(new_index[i] for i in inc if i in new_index)
-        facets.append(Facet(nint, offset, incident))
+        facets.append(Facet(normal, Fraction(b, den * g), incident))
     facets.sort(key=lambda f: (f.normal, f.offset))
-
-    # canonical basis: a function of the final vertex set, not the raw input
-    if adim == n:
-        final_basis = identity(n)
-    else:
-        final_basis = matrix(
-            kernels.int_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
-        )
-    return Polytope(n, verts, tuple(facets), adim, final_basis)
-
-
-def _trusted(dim, verts, facets, adim, basis) -> Polytope:
-    return Polytope(dim, verts, facets, adim, basis)
+    return Polytope(n, verts, tuple(facets), adim, matrix(basis))
 
 
 def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
@@ -212,7 +185,7 @@ def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
     facets = tuple(
         Facet(f.normal, f.offset + dot(f.normal, t), f.incident) for f in p.facets
     )
-    return _trusted(p.dim, verts, facets, p.affine_dim, p.affine_basis)
+    return Polytope(p.dim, verts, facets, p.affine_dim, p.affine_basis)
 
 
 def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
@@ -221,7 +194,7 @@ def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
     if c > 0:
         verts = tuple(scale(c, v) for v in p.vertices)
         facets = tuple(Facet(f.normal, c * f.offset, f.incident) for f in p.facets)
-        return _trusted(p.dim, verts, facets, p.affine_dim, p.affine_basis)
+        return Polytope(p.dim, verts, facets, p.affine_dim, p.affine_basis)
     return hull_from_vertices([scale(c, v) for v in p.vertices])
 
 
@@ -281,13 +254,8 @@ def embed(p: Polytope, target_dim: int) -> Polytope:
     pad = (ZERO,) * (target_dim - p.dim)
     verts = tuple(v + pad for v in p.vertices)
     facets = tuple(Facet(f.normal + pad, f.offset, f.incident) for f in p.facets)
-    if p.affine_dim == 0:
-        basis: Matrix = ()
-    else:
-        basis = matrix(
-            kernels.int_echelon([integerize(sub(v, verts[0])) for v in verts[1:]])
-        )
-    return _trusted(target_dim, verts, facets, p.affine_dim, basis)
+    basis = tuple(row + pad for row in p.affine_basis)
+    return Polytope(target_dim, verts, facets, p.affine_dim, basis)
 
 
 def apply_linear(p: Polytope, psi: Sequence[Sequence[object]]) -> Polytope:
@@ -314,9 +282,10 @@ def contains_point(p: Polytope, x: Sequence[Fraction]) -> bool:
     x = vector(x)
     if len(x) != p.dim:
         raise ValueError("point dimension mismatch")
-    d = sub(x, p.vertices[0])
-    if any(d):
-        rows = [integerize(row) for row in p.affine_basis] + [integerize(d)]
+    if not p.is_full_dimensional:
+        # n+1 rows in R^n always have rank n, so only a flat body needs this
+        rows = [integerize(row) for row in p.affine_basis]
+        rows.append(integerize(sub(x, p.vertices[0])))
         if kernels.int_rank(rows) != p.affine_dim:
             return False
     return all(dot(f.normal, x) <= f.offset for f in p.facets)

@@ -204,8 +204,11 @@ def is_reliable(body: Polytope | DirectionSet, d: int) -> ReliabilityVerdict:
         if smaller:
             hit = smaller
             break
-    members, coeffs = hit[0]
-    return ReliabilityVerdict(False, d, _family(a, members, coeffs), a)
+    family = _family(a, *hit[0])
+    # an explicit raise rather than ``assert``, so it still runs under -O
+    if not family_valid(a, family):
+        raise AssertionError("simplicial family failed exact re-verification")
+    return ReliabilityVerdict(False, d, family, a)
 
 
 def parallelotope_check(p: Polytope) -> bool:

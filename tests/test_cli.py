@@ -192,13 +192,20 @@ def _no_counterexample(capsys, argv, reason):
     assert err.splitlines() == [f"no counterexample: {reason}"]
 
 
-def test_counterexample_unbounded_scale_exits_1(capsys, pyramid_file):
-    # at seed 0, trial 493 samples a line on which the shadow of S is a point
-    _no_counterexample(
-        capsys,
-        ["counterexample", pyramid_file, "--d", "1", "--seed", "0"],
-        "maximal scale is unbounded (degenerate body)",
+def test_counterexample_point_shadow_exits_0(capsys, pyramid_file, tmp_path):
+    # at seed 0, trial 493 samples a line on which the shadow of S is a
+    # point; that trial bounds no scale and the search goes on
+    from shadowcover.counterexample import verify_bundle
+    from shadowcover.jsonio import bundle_from_doc, read_json
+
+    bundle_file = tmp_path / "bundle.json"
+    code, _, err = run(
+        capsys, "counterexample", pyramid_file, "--d", "1", "--seed", "0",
+        "--out", str(bundle_file),
     )
+    assert code == 0 and err == ""
+    bundle = bundle_from_doc(read_json(bundle_file))
+    assert verify_bundle(bundle, fresh_seed=11).passed
 
 
 def test_counterexample_margin_insufficient_exits_1(capsys, tmp_path):

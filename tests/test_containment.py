@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from shadowcover.containment import (
 )
 from shadowcover.corpus import random_polytope
 from shadowcover.counterexample import build_S
+from shadowcover.kernels import int_rank
 from shadowcover.linalg import matrix, matvec, nullspace, vector
 from shadowcover.polytope import (
     Subspace,
@@ -159,17 +161,30 @@ def test_sampled_cover_rejects_nonpositive_trials(cube3):
             sampled_shadow_cover(cube3, cube3, 2, SubspaceSampler(3, 2), trials)
 
 
-_GUARD_SCRIPT = """
-import sys
+# each script patches one witness check to reject, then asks for a verdict
+_GUARD_SCRIPTS = {
+    "translate_fit": """
 from shadowcover import containment
-from shadowcover.corpus import named
 from shadowcover.polytope import scale_polytope
-
-assert False, "unreachable under -O"
 containment.fits_exactly = lambda k, l, v: False
 cube = named("cube-3")
+verdict = lambda: containment.translate_fit(cube, scale_polytope(cube, 2))
+""",
+    "is_reliable": """
+from shadowcover import reliability
+reliability.family_valid = lambda a, fam: False
+verdict = lambda: reliability.is_reliable(named("octahedron"), 2)
+""",
+}
+
+_GUARD_RUN = """
+import sys
+from shadowcover.corpus import named
+
+assert False, "unreachable under -O"
+{script}
 try:
-    containment.translate_fit(cube, scale_polytope(cube, 2))
+    verdict()
 except AssertionError as exc:
     print(exc)
     sys.exit(0 if sys.flags.optimize else 3)
@@ -177,10 +192,12 @@ sys.exit(1)
 """
 
 
-def test_verdict_guard_survives_python_O():
+@pytest.mark.parametrize("script", sorted(_GUARD_SCRIPTS))
+def test_verdict_guard_survives_python_O(script):
     src = str(Path(shadowcover.__file__).resolve().parent.parent)
+    code = _GUARD_RUN.format(script=_GUARD_SCRIPTS[script])
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _GUARD_SCRIPT],
+        [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
@@ -314,3 +331,71 @@ def test_embedding_preserves_shadow_verdicts(seed):
         xi = next(stream)
         lifted = Subspace(4, matrix([row + (F(0),) for row in xi.basis]))
         assert shadow_fit(k, l, xi).fits == shadow_fit(ek, el, lifted).fits
+
+
+# integer frames whose rows are mutually orthogonal but not of unit length
+_ORTHOGONAL_FRAMES = {
+    2: [((1, 2), (-2, 1)), ((3, 0), (0, 1))],
+    3: [
+        ((1, 1, 0), (1, -1, 0), (0, 0, 2)),
+        ((1, 2, 2), (2, 1, -2), (2, -2, 1)),
+        ((1, 1, 1), (1, -1, 0), (1, 1, -2)),
+    ],
+}
+
+
+def _pinned_product_case(seed):
+    """A body K and a decomposition of R^2 or R^3 into coordinate-axis,
+    mutually orthogonal (non-unit, and within a block not orthogonal) or
+    sheared component subspaces, each carrying a seeded factor."""
+    import random
+
+    rng = random.Random(f"product-pin:{seed}")
+    kind = ("axis", "orthogonal", "sheared")[seed % 3]
+    n = rng.choice((2, 3, 3))
+    sizes = rng.choice({2: [(1, 1)], 3: [(2, 1), (1, 2), (1, 1, 1)]}[n])
+    if kind == "axis":
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rng.shuffle(rows)
+    elif kind == "orthogonal":
+        rows = list(rng.choice(_ORTHOGONAL_FRAMES[n]))
+        rng.shuffle(rows)
+    else:
+        while True:
+            rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+            if int_rank(rows) == n:
+                break
+    parts = []
+    start = 0
+    for size in sizes:
+        block = rows[start:start + size]
+        if size == 2 and rng.random() < 0.5:
+            # same subspace, a basis that is not orthogonal inside the block
+            block = [block[0], tuple(a + b for a, b in zip(block[0], block[1]))]
+        if size == 2 and rng.random() < 0.15:
+            factor = hull_from_vertices([(0, 0), (rng.randint(1, 3), rng.randint(-2, 2))])
+        elif size == 1:
+            factor = hull_from_vertices([(rng.randint(-2, 0),), (rng.randint(1, 4),)])
+        else:
+            factor = random_polytope(rng.randint(0, 10**6), size, 5, 3)
+        parts.append((subspace(n, block), factor))
+        start += size
+    k = random_polytope(rng.randint(0, 10**6), n, n + 3, 2)
+    k = scale_polytope(k, F(rng.randint(1, 3), rng.randint(1, 6)))
+    return k, parts
+
+
+def test_product_containment_pinned_by_digest():
+    """Verdicts, witnesses, certificates and failing components of 120
+    seeded product-containment cases, pinned by a digest recorded while
+    mutually orthogonal components still had a path of their own."""
+    verdicts = []
+    for seed in range(120):
+        k, parts = _pinned_product_case(seed)
+        verdicts.append(product_containment(k, parts))
+    assert sum(v.fits for v in verdicts) == 76
+    assert sum(v.hull_mismatch for v in verdicts) == 5
+    text = "\n".join(repr(v) for v in verdicts)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "124a33f02b887c2288d197b685d504c2085fd11509033d6f1decc6cf537a7493"
+    )

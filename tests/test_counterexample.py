@@ -17,7 +17,7 @@ from shadowcover.counterexample import (
     find_alpha,
     verify_bundle,
 )
-from shadowcover.polytope import scale_polytope
+from shadowcover.polytope import hull_from_vertices, scale_polytope
 from shadowcover.reliability import is_reliable
 
 F = Fraction
@@ -155,3 +155,17 @@ def test_pyramid_d1_counterexample(pyramid):
     assert not translate_fit(
         scale_polytope(bundle.body, bundle.alpha), pyramid
     ).fits
+
+
+def test_pyramid_point_shadow_is_skipped(pyramid):
+    # at seed 0, search trial 493 samples the line (0, 1, 0), orthogonal to
+    # the plane of S: that shadow of S is a point and bounds no scale
+    bundle = build_counterexample(pyramid, 1, seed=0)
+    assert bundle.alpha > 1
+    assert verify_bundle(bundle, fresh_seed=11).passed
+
+
+def test_all_point_shadows_leave_no_usable_scale(octahedron):
+    point = hull_from_vertices([(0, 0, 0)])
+    with pytest.raises(NoUsableScaleError):
+        find_alpha(octahedron, point, 2, SubspaceSampler(3, 2), trials=5)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from oracles import sy_nullspace, sy_rank
 from shadowcover.linalg import (
     identity,
     integerize,
+    inverse,
     matrix,
     matvec,
     nullspace,
@@ -129,3 +131,33 @@ def test_determinism_bit_for_bit():
     m = matrix([(3, 1, 4), (1, 5, 9), (2, 6, 5)])
     assert nullspace(m) == nullspace(m)
     assert rank(m) == rank(m) == 3
+
+
+@st.composite
+def rational_square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@given(rational_square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_sympy(rows):
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                      for r in rows])
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(rows)
+        return
+    expected = [[F(int(x.p), int(x.q)) for x in m.inv().tolist()[i]]
+                for i in range(len(rows))]
+    assert inverse(rows) == matrix(expected)
+
+
+def test_inverse_rejects_singular_and_nonsquare():
+    with pytest.raises(ValueError):
+        inverse(matrix([(1, 2), (F(1, 2), 1)]))
+    with pytest.raises(ValueError):
+        inverse(matrix([(0, 0), (0, 0)]))
+    with pytest.raises(ValueError):
+        inverse(matrix([(1, 2, 3), (4, 5, 6)]))
