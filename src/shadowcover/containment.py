@@ -16,7 +16,7 @@ exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -37,9 +37,10 @@ from .lp import Infeasible, LPProblem, Optimal, Unbounded, solve_lp
 from .polytope import (
     Polytope,
     Subspace,
+    block_hulls,
+    blocks_of,
     contains_point,
-    direct_sum_assemble,
-    hull_from_vertices,
+    direct_sum_basis,
     project,
     scale_polytope,
 )
@@ -322,44 +323,32 @@ def product_containment(
     """Containment of K in a direct sum C, decided component by component.
 
     The component subspaces must decompose the ambient space.  With the
-    component bases B_i stacked as the rows of M, the map psi = (M^T)^-1
-    sends C to the block product of the factors C_i, so K fits in C exactly
-    when block i of psi K fits in C_i for every i.  The first failing
-    component's verdict is returned with its index; otherwise the block
-    witnesses, stacked as w, give the witness M^T w.  For mutually
+    component bases B_i stacked as the rows of M, psi = (M^T)^-1 sends C to
+    the product of the factors C_i, so K fits in C exactly when block i of
+    psi K fits in C_i for every i.  The first failing component's verdict is
+    returned with its index; otherwise the block witnesses, stacked as w,
+    give the witness v = M^T w, re-checked by testing every block of
+    psi (x + v), x a vertex of K, against its factor.  For mutually
     orthogonal components, block i of psi x is G_i^-1 B_i x with
     G_i = B_i B_i^T: the coordinates of x's shadow on component i.
     """
-    if not parts:
-        raise ValueError("product containment needs at least one component")
-    n = k.dim
-    stacked: list[Vector] = []
-    for sp, factor in parts:
-        if sp.ambient_dim != n:
-            raise ValueError("component ambient dimension mismatch")
-        if factor.dim != sp.dim:
-            raise ValueError("factor is not in component coordinates")
-        stacked.extend(sp.basis)
-    if len(stacked) != n or int_rank([integerize(r) for r in stacked]) != n:
-        raise ValueError("components do not form a direct sum of the space")
+    stacked = direct_sum_basis(parts)
+    if parts[0][0].ambient_dim != k.dim or len(stacked) != k.dim:
+        raise ValueError("components do not form a direct sum of K's space")
 
     mt = transpose(stacked)
     psi = inverse(mt)
     images = [matvec(psi, x) for x in k.vertices]
+    dims = [sp.dim for sp, _ in parts]
     w: list[Fraction] = []
-    start = 0
-    for idx, (sp, factor) in enumerate(parts):
-        block = hull_from_vertices([y[start:start + sp.dim] for y in images])
-        start += sp.dim
+    for idx, (block, (_, factor)) in enumerate(zip(block_hulls(images, dims), parts)):
         verdict = translate_fit(block, factor)
         if not verdict.fits:
-            return ContainmentVerdict(
-                False,
-                certificate=verdict.certificate,
-                hull_mismatch=verdict.hull_mismatch,
-                component=idx,
-            )
+            return replace(verdict, component=idx)
         w.extend(verdict.witness)
     v = matvec(mt, w)
-    _require_fit(k, direct_sum_assemble(parts), v)
+    for x in k.vertices:
+        blocks = blocks_of(matvec(psi, add(x, v)), dims)
+        if not all(contains_point(f, b) for (_, f), b in zip(parts, blocks)):
+            raise AssertionError("witness translation failed exact re-verification")
     return ContainmentVerdict(True, witness=v)

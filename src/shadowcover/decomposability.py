@@ -13,27 +13,21 @@ circuits read off a single reduced echelon form — the supports of a
 nullspace basis — and close under union-find; the test suite cross-checks
 this against exhaustive circuit enumeration.
 
-Factor extraction straightens the component subspaces to coordinate blocks
-with the linear map sending the stacked component bases to the identity,
-projects onto the blocks, and verifies the direct-sum reconstruction against
-the original body exactly.
+Factor extraction maps the body's vertices by M, the stacked component
+bases, which turns the components into coordinate blocks; each factor is the
+hull of one block.  The split is verified exactly: the mapped vertices must
+be the vertices of the factors' product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .kernels import int_echelon, int_nullspace, int_rank
-from .linalg import integerize, inverse, matrix, transpose
-from .polytope import (
-    Polytope,
-    Subspace,
-    apply_linear,
-    direct_sum_assemble,
-    project,
-    translate_of,
-)
+from .linalg import integerize, inverse, matrix, matvec, transpose
+from .polytope import Polytope, Subspace, block_hulls, blocks_of, product_vertices
 from .reliability import DirectionSet, facet_direction_set, is_reliable
 
 
@@ -145,39 +139,27 @@ def extract_factors(
     """Split P into direct-sum factors along its normal components.
 
     Returns (subspace, factor) pairs with each factor given in its
-    subspace's coordinates.  For non-orthogonal components the factor
-    subspaces are not the normal-span components themselves but their
-    straightened counterparts, which is why each factor carries its own
-    subspace.  The reconstruction direct_sum_assemble(result) is verified to
-    be an exact translate of P before returning.
+    subspace's coordinates.  With the component bases as the rows of M,
+    factor i is the hull of block i of the images M v of P's vertices.  The
+    factor subspaces are the row blocks of (M^-1)^T, so for non-orthogonal
+    components they are not the components themselves.  Before returning,
+    the images M v are checked to be exactly the vertices of the factors'
+    product (else RuntimeError), so direct_sum_assemble(result) is P.
     """
     n = p.dim
-    stacked = [row for sp in components for row in sp.basis]
-    if len(stacked) != n:
+    m = matrix(row for sp in components for row in sp.basis)
+    if len(m) != n:
         raise ValueError("component dimensions must sum to the ambient dimension")
-    m = matrix(stacked)
-    straightened = apply_linear(p, m)
-
     m_inv_t = transpose(inverse(m))
-    out: list[tuple[Subspace, Polytope]] = []
-    offset = 0
-    for sp in components:
-        d = sp.dim
-        block_rows = matrix(
-            [
-                [1 if c == offset + r else 0 for c in range(n)]
-                for r in range(d)
-            ]
-        )
-        factor = project(straightened, Subspace(n, block_rows))
-        eta = Subspace(n, m_inv_t[offset : offset + d])
-        out.append((eta, factor))
-        offset += d
+    images = [matvec(m, v) for v in p.vertices]
+    dims = [sp.dim for sp in components]
+    factors = list(block_hulls(images, dims))
 
-    rebuilt = direct_sum_assemble(out)
-    if translate_of(rebuilt, p) is None:
+    # counts first: a wrong split is refused before the product is enumerated
+    count = prod(len(f.vertices) for f in factors)
+    if count != len(images) or set(product_vertices(factors)) != set(images):
         raise RuntimeError("factor reconstruction does not match the body")
-    return out
+    return [(Subspace(n, b), f) for b, f in zip(blocks_of(m_inv_t, dims), factors)]
 
 
 @dataclass(frozen=True)

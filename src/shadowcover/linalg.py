@@ -159,12 +159,10 @@ def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
 def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> Matrix:
     """The map x -> (B B^T)^-1 B x of coordinates in the row space of B.
 
-    Rows of B must be independent.  Composing with the lift c -> B^T c is the
-    identity on coordinates; lifting then mapping is the identity on the row
-    space.
+    Rows of B must be independent, else B B^T is singular and ValueError is
+    raised.  Composing with the lift c -> B^T c is the identity on
+    coordinates; lifting then mapping is the identity on the row space.
     """
     b = matrix(basis)
-    if rank(b) != len(b):
-        raise ValueError("basis rows are dependent")
     gram = matmul(b, transpose(b))
     return matmul(inverse(gram), b)

@@ -14,17 +14,18 @@ bodies this library targets; the inner loop is ``kernels.hull_facets``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain, product
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import kernels
+from . import kernels, linalg
 from .linalg import (
     Matrix,
     Vector,
     add,
-    coordinate_map,
     dot,
     integerize,
     matrix,
@@ -56,18 +57,23 @@ class Subspace:
 
     ambient_dim: int
     basis: Matrix
-    coord_map: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.basis:
             raise ValueError("subspace needs at least one basis row")
         if any(len(row) != self.ambient_dim for row in self.basis):
             raise ValueError("basis rows must have the ambient dimension")
-        object.__setattr__(self, "coord_map", coordinate_map(self.basis))
+        if rank(self.basis) != len(self.basis):
+            raise ValueError("basis rows are dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def coord_map(self) -> Matrix:
+        """(B B^T)^-1 B, built on first use: component subspaces never project."""
+        return linalg.coordinate_map(self.basis)
 
     def coords_of(self, x: Sequence[Fraction]) -> Vector:
         """Coordinates of the orthogonal projection of x onto the subspace."""
@@ -216,11 +222,11 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     return hull_from_vertices([add(v, w) for v in p.vertices for w in q.vertices])
 
 
-def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
-    """Direct Minkowski sum of factors living in complementary subspaces.
+def direct_sum_basis(parts: Sequence[tuple[Subspace, Polytope]]) -> Matrix:
+    """The stacked subspace bases M of direct-sum parts, checked.
 
-    Each factor is given in its subspace's coordinates; the subspace bases
-    must be jointly independent.
+    Each factor must be in its subspace's coordinates and the bases jointly
+    independent; the direct sum is M^T applied to the factors' product.
     """
     if not parts:
         raise ValueError("direct sum of no parts")
@@ -234,11 +240,32 @@ def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
         stacked.extend(sp.basis)
     if rank(matrix(stacked)) != len(stacked):
         raise ValueError("component subspaces are not jointly independent")
-    total = None
-    for sp, factor in parts:
-        embedded = hull_from_vertices([sp.lift(v) for v in factor.vertices])
-        total = embedded if total is None else minkowski_sum(total, embedded)
-    return total
+    return tuple(stacked)
+
+
+def product_vertices(factors: Sequence[Polytope]) -> list[Vector]:
+    """Vertices of the product of the factors: one vertex of each, joined."""
+    return [tuple(chain(*vs)) for vs in product(*(f.vertices for f in factors))]
+
+
+def blocks_of(x: Sequence, dims: Sequence[int]) -> list:
+    """x cut into consecutive blocks of the given sizes."""
+    return [x[end - d : end] for d, end in zip(dims, accumulate(dims))]
+
+
+def block_hulls(points: Sequence[Vector], dims: Sequence[int]) -> Iterator[Polytope]:
+    """Hulls of the points' consecutive coordinate blocks, one at a time."""
+    return map(hull_from_vertices, zip(*(blocks_of(p, dims) for p in points)))
+
+
+def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
+    """Direct Minkowski sum of factors living in complementary subspaces.
+
+    One hull of M^T applied to the product's vertices; see direct_sum_basis.
+    """
+    mt = transpose(direct_sum_basis(parts))
+    points = product_vertices([f for _, f in parts])
+    return hull_from_vertices([matvec(mt, c) for c in points])
 
 
 def direct_sum(p: Polytope, q: Polytope, xi: Subspace, eta: Subspace) -> Polytope:

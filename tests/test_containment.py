@@ -170,6 +170,19 @@ containment.fits_exactly = lambda k, l, v: False
 cube = named("cube-3")
 verdict = lambda: containment.translate_fit(cube, scale_polytope(cube, 2))
 """,
+    "product_containment": """
+from shadowcover import containment
+from shadowcover.polytope import hull_from_vertices, subspace
+fit = containment.translate_fit
+def shifted(k, l):
+    # every block witness is forged, so only the final re-check can see it
+    v = fit(k, l)
+    return containment.ContainmentVerdict(True, witness=tuple(x + 9 for x in v.witness))
+containment.translate_fit = shifted
+seg = hull_from_vertices([(0,), (3,)])
+parts = [(subspace(3, [row]), seg) for row in [(1, 0, 0), (1, 1, 0), (0, 1, 1)]]
+verdict = lambda: containment.product_containment(named("cube-3"), parts)
+""",
     "is_reliable": """
 from shadowcover import reliability
 reliability.family_valid = lambda a, fam: False

@@ -1,17 +1,25 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from shadowcover.corpus import named, random_symmetric_polytope
+from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
 from shadowcover.decomposability import (
     cross_check_2iff2,
     extract_factors,
     is_decomposable,
     normal_components,
 )
-from shadowcover.kernels import circuits
-from shadowcover.linalg import integerize
-from shadowcover.polytope import apply_linear, direct_sum_assemble, translate_of
+from shadowcover.kernels import circuits, int_rank
+from shadowcover.linalg import integerize, inverse, matrix, transpose
+from shadowcover.polytope import (
+    apply_linear,
+    direct_sum_assemble,
+    hull_from_vertices,
+    subspace,
+    translate_of,
+)
 from shadowcover.reliability import (
     DirectionSet,
     direction_set,
@@ -144,6 +152,75 @@ def test_extract_factors_sheared_prism():
     assert sorted(f.affine_dim for _, f in factors) == [1, 2]
     rebuilt = direct_sum_assemble(factors)
     assert translate_of(rebuilt, sheared) is not None
+
+
+@pytest.mark.parametrize("name", ["square-pyramid", "octahedron"])
+def test_extract_factors_refuses_a_wrong_split(name):
+    # neither body is the sum of a polygon and a vertical segment
+    axis_split = [subspace(3, [(1, 0, 0), (0, 1, 0)]), subspace(3, [(0, 0, 1)])]
+    with pytest.raises(RuntimeError, match="reconstruction"):
+        extract_factors(named(name), axis_split)
+
+
+_SPLIT_SIZES = {
+    3: [(1, 2), (1, 1, 1)],
+    4: [(2, 2), (1, 3), (1, 1, 2)],
+    5: [(2, 3), (1, 1, 3), (1, 2, 2)],
+}
+
+
+def _pinned_direct_sum_case(seed):
+    """Seeded factors over a non-orthogonal integer basis of R^3-R^5, and
+    integer bases of the normal components that split their direct sum."""
+    rng = random.Random(f"direct-sum-pin:{seed}")
+    n = rng.choice((3, 4, 5))
+    sizes = rng.choice(_SPLIT_SIZES[n])
+    while True:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        if int_rank(rows) == n:
+            break
+    # row block i of (N^T)^-1 annihilates every factor subspace but the i-th
+    dual = inverse(transpose(matrix(rows)))
+    parts, components = [], []
+    start = 0
+    for size in sizes:
+        kind = rng.choice(("point", "segment", "body", "body"))
+        if kind == "point":
+            factor = hull_from_vertices([[rng.randint(-2, 2) for _ in range(size)]])
+        elif kind == "segment":
+            a = [rng.randint(-2, 2) for _ in range(size)]
+            b = [x + rng.randint(1, 3) for x in a]
+            factor = hull_from_vertices([a, b])
+        else:
+            factor = random_polytope(rng.randint(0, 10**6), size, size + 1, 3)
+        parts.append((subspace(n, rows[start:start + size]), factor))
+        block = [integerize(r) for r in dual[start:start + size]]
+        if size > 1:
+            # the same span, a basis that is not the dual one
+            block[1] = tuple(a + 2 * b for a, b in zip(block[1], block[0]))
+        components.append(subspace(n, block))
+        start += size
+    return parts, components
+
+
+def test_extract_factors_pinned_by_digest():
+    """Factors and factor subspaces of 30 seeded direct sums, and the sums
+    of three parts, pinned by a digest recorded while extraction still
+    re-hulled the whole sum."""
+    lines = []
+    for seed in range(30):
+        parts, components = _pinned_direct_sum_case(seed)
+        body = direct_sum_assemble(parts)
+        if len(parts) >= 3:
+            lines.append(repr(body))
+        factors = extract_factors(body, components)
+        assert direct_sum_assemble(factors) == body
+        lines.append(repr(factors))
+    assert len(lines) == 30 + 11
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c23180d381e842a73632382f09c13f6d8d64e41bdbb0a96f4261105b75612554"
+    )
 
 
 def test_cross_check_2iff2_named():
