@@ -85,6 +85,8 @@ def certificate_valid(k: Polytope, l: Polytope, cert: FarkasCertificate) -> bool
     """Exact re-verification of a no-fit certificate."""
     if not cert.multipliers or any(lam <= 0 for _, lam in cert.multipliers):
         return False
+    if any(idx not in range(len(l.facets)) for idx, _ in cert.multipliers):
+        return False
     combo = zero_vector(l.dim)
     total = ZERO
     for idx, lam in cert.multipliers:
@@ -110,25 +112,13 @@ def _sparse_multipliers(lam: Sequence[Fraction]) -> FarkasCertificate:
     )
 
 
-# Verdict guards: explicit raises rather than ``assert``, so that they still
-# run under ``python -O``.  A failure is a bug, not an input condition.
+# The verdict guard: an explicit raise rather than ``assert``, so that it
+# still runs under ``python -O``.  A failure is a bug, not an input condition.
 
 
-def _require_fit(k: Polytope, l: Polytope, v: Vector) -> None:
-    if not fits_exactly(k, l, v):
-        raise AssertionError("witness translation failed exact re-verification")
-
-
-def _require_certificate(k: Polytope, l: Polytope, cert: FarkasCertificate) -> None:
-    if not certificate_valid(k, l, cert):
-        raise AssertionError("Farkas certificate failed exact re-verification")
-
-
-def _require_outcome(outcome: object, kind: type) -> None:
-    if not isinstance(outcome, kind):
-        raise AssertionError(
-            f"expected an {kind.__name__} LP outcome, got {type(outcome).__name__}"
-        )
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise AssertionError(f"{what} failed exact re-verification")
 
 
 def _frame(l: Polytope):
@@ -168,7 +158,7 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     if l.affine_dim == 0:
         # perpendicular alignment is forced and there is nothing left to solve
         v = sub(l.vertices[0], k.vertices[0])
-        _require_fit(k, l, v)
+        _require(fits_exactly(k, l, v), "witness translation")
         return ContainmentVerdict(True, witness=v)
     normals, lift = _frame(l)
     cons = tuple(
@@ -177,11 +167,11 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     outcome = solve_lp(LPProblem(zero_vector(l.affine_dim), cons))
     if isinstance(outcome, Optimal):
         v = lift(outcome.point, k.vertices[0])
-        _require_fit(k, l, v)
+        _require(fits_exactly(k, l, v), "witness translation")
         return ContainmentVerdict(True, witness=v)
-    _require_outcome(outcome, Infeasible)
+    _require(isinstance(outcome, Infeasible), "no-fit LP outcome")
     cert = _sparse_multipliers(outcome.multipliers)
-    _require_certificate(k, l, cert)
+    _require(certificate_valid(k, l, cert), "Farkas certificate")
     return ContainmentVerdict(False, certificate=cert)
 
 
@@ -207,10 +197,10 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     outcome = solve_lp(LPProblem(objective, cons, nonneg))
     if isinstance(outcome, Unbounded):
         raise RuntimeError("maximal scale is unbounded (degenerate body)")
-    _require_outcome(outcome, Optimal)
+    _require(isinstance(outcome, Optimal), "maximal-scale LP outcome")
     alpha = outcome.point[0]
     v = lift(outcome.point[1:], tuple(alpha * x for x in k.vertices[0]))
-    _require_fit(scale_polytope(k, alpha), l, v)
+    _require(fits_exactly(scale_polytope(k, alpha), l, v), "witness translation")
     return alpha, v
 
 
@@ -256,8 +246,11 @@ class SubspaceSampler:
                 tuple(rng.randint(-b, b) for _ in range(ambient_dim))
                 for _ in range(self.d)
             ]
-            if int_rank(rows) == self.d:
-                yield Subspace(ambient_dim, matrix(rows))
+            try:
+                xi = Subspace(ambient_dim, matrix(rows))
+            except ValueError:  # dependent rows: rejected
+                continue
+            yield xi
 
 
 @dataclass(frozen=True)
@@ -349,6 +342,8 @@ def product_containment(
     v = matvec(mt, w)
     for x in k.vertices:
         blocks = blocks_of(matvec(psi, add(x, v)), dims)
-        if not all(contains_point(f, b) for (_, f), b in zip(parts, blocks)):
-            raise AssertionError("witness translation failed exact re-verification")
+        _require(
+            all(contains_point(f, b) for (_, f), b in zip(parts, blocks)),
+            "witness translation",
+        )
     return ContainmentVerdict(True, witness=v)

@@ -2,7 +2,9 @@
 
 Rationals travel as exact strings "p" or "p/q" in lowest terms; the reader
 rejects anything else (floats in particular).  Integer-valued fields such as
-direction coordinates may also be plain JSON integers.  Writing is canonical
+direction coordinates may also be plain JSON integers.  A bundle's integer
+fields (dimension, indices, seeds and counts) must be plain JSON integers;
+floats, strings and booleans are rejected.  Writing is canonical
 (sorted keys, fixed indentation), so identical objects serialise to
 identical bytes.
 """
@@ -36,6 +38,12 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, str) and _RATIONAL.match(value):
         return Fraction(value)
     raise FormatError(f"not a rational: {value!r}")
+
+
+def _parse_integer(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"not an integer: {value!r}")
+    return value
 
 
 def format_rational(q: Fraction) -> str:
@@ -122,27 +130,30 @@ def bundle_from_doc(doc: Any) -> CounterexampleBundle:
         raise FormatError("not a counterexample bundle document")
     try:
         family = SimplicialFamily(
-            tuple(int(i) for i in doc["family"]["members"]),
+            tuple(_parse_integer(i) for i in doc["family"]["members"]),
             vector([parse_rational(c) for c in doc["family"]["coefficients"]]),
         )
         cert = FarkasCertificate(
-            tuple((int(i), parse_rational(lam)) for i, lam in doc["noncontainment"])
+            tuple(
+                (_parse_integer(i), parse_rational(lam))
+                for i, lam in doc["noncontainment"]
+            )
         )
         return CounterexampleBundle(
             cover=polytope_from_doc(doc["cover"]),
-            d=int(doc["d"]),
+            d=_parse_integer(doc["d"]),
             family=family,
             body=polytope_from_doc(doc["body"]),
             alpha=parse_rational(doc["alpha"]),
             alpha_min_observed=parse_rational(doc["alpha_min_observed"]),
             margin=parse_rational(doc["margin"]),
             noncontainment=cert,
-            search_seed=int(doc["search_seed"]),
-            search_trials=int(doc["search_trials"]),
-            entry_bound=int(doc["entry_bound"]),
-            verify_seed=int(doc["verify_seed"]),
-            shadow_trials=int(doc["shadow_trials"]),
-            shadow_failures=int(doc["shadow_failures"]),
+            search_seed=_parse_integer(doc["search_seed"]),
+            search_trials=_parse_integer(doc["search_trials"]),
+            entry_bound=_parse_integer(doc["entry_bound"]),
+            verify_seed=_parse_integer(doc["verify_seed"]),
+            shadow_trials=_parse_integer(doc["shadow_trials"]),
+            shadow_failures=_parse_integer(doc["shadow_failures"]),
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed bundle document: {exc}") from None

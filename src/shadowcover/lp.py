@@ -6,13 +6,17 @@ is fraction-free, each row integer numerators over one positive row
 denominator with their common gcd divided out after every update (in the
 line of Edmonds 1967 and Bareiss 1968).  It holds exactly the rationals of
 the ``Fraction`` tableau at every step, so its pivots, outcomes and witnesses
-are identical to those of the rational simplex.  Pivoting uses Bland's
-smallest index rule, so the solver terminates on every input.  Every outcome
-carries an exactly checkable witness:
+are identical to those of the rational simplex.  Its only columns are the
+structural ones, one slack per constraint and the right-hand side:
+artificial variables exist only as basis labels, since no step reads their
+columns.  Pivoting uses Bland's smallest index rule, so the solver
+terminates on every input.  Every outcome carries an exactly checkable
+witness:
 
 * Optimal: a point satisfying all constraints, achieving the value.
 * Infeasible: multipliers lam >= 0 with sum(lam_i a_i) vanishing on free
-  variables (>= 0 on sign-restricted ones) and sum(lam_i b_i) < 0.
+  variables (>= 0 on sign-restricted ones) and sum(lam_i b_i) < 0, read off
+  the slack columns of the final phase-1 objective row.
 * Unbounded: a recession ray that strictly improves the objective.
 
 ``solve_lp`` re-verifies the witness before returning; a failure there is a
@@ -28,7 +32,6 @@ from math import gcd, lcm
 from .linalg import Vector, dot, vector
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -79,39 +82,33 @@ def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
     return LPProblem(vector(objective), cons, tuple(bool(f) for f in nonneg))
 
 
+def _feasible(p: LPProblem, x: Vector, ray: bool) -> bool:
+    """Signs and a.x <= b hold for a point; for a ray, a.x <= 0 in place of b."""
+    if len(x) != len(p.objective):
+        return False
+    if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
+        return False
+    return all(dot(a, x) <= (ZERO if ray else b) for a, b in p.constraints)
+
+
 def verify_outcome(p: LPProblem, outcome: LPOutcome) -> bool:
     """Exact re-substitution check of an outcome's witness."""
     if isinstance(outcome, Optimal):
         x = outcome.point
-        if len(x) != len(p.objective):
-            return False
-        if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
-            return False
-        if any(dot(a, x) > b for a, b in p.constraints):
-            return False
-        return dot(p.objective, x) == outcome.value
+        return _feasible(p, x, False) and dot(p.objective, x) == outcome.value
+    if isinstance(outcome, Unbounded):
+        r = outcome.ray
+        return _feasible(p, r, True) and dot(p.objective, r) > 0
     if isinstance(outcome, Infeasible):
         lam = outcome.multipliers
         if len(lam) != len(p.constraints) or any(l < 0 for l in lam):
             return False
         for j in range(len(p.objective)):
             combo = sum((l * a[j] for l, (a, _) in zip(lam, p.constraints)), ZERO)
-            if p.nonneg[j]:
-                if combo < 0:
-                    return False
-            elif combo != 0:
+            if combo < 0 or (combo and not p.nonneg[j]):
                 return False
         total = sum((l * b for l, (_, b) in zip(lam, p.constraints)), ZERO)
         return total < 0
-    if isinstance(outcome, Unbounded):
-        r = outcome.ray
-        if len(r) != len(p.objective):
-            return False
-        if any(flag and ri < 0 for flag, ri in zip(p.nonneg, r)):
-            return False
-        if any(dot(a, r) > 0 for a, _ in p.constraints):
-            return False
-        return dot(p.objective, r) > 0
     return False
 
 
@@ -145,11 +142,15 @@ def _integer_row(entries: list[Fraction]) -> tuple[list[int], int]:
 class _Tableau:
     """Dense simplex tableau in canonical form (basis columns are units).
 
-    Row i holds the rationals ``rows[i][k] / dens[i]`` with ``dens[i] > 0``
-    and the gcd of the row and its denominator divided out after every
-    update; the objective row is ``z / zden`` likewise.  These are exactly
-    the entries of the rational tableau, so signs are read off numerators and
-    ratio tests compare cross products.
+    Each row holds the structural y columns, one slack per constraint and the
+    right-hand side: width ny + m + 1.  A row with negative right-hand side
+    is negated and starts with an artificial basic in it, labelled ny + m + k
+    in ``basis`` but given no column: no step ever reads one.  Row i holds
+    the rationals ``rows[i][k] / dens[i]`` with ``dens[i] > 0`` and the gcd of
+    the row and its denominator divided out after every update; the objective
+    row is ``z / zden`` likewise.  These are exactly the entries of the
+    rational tableau, so signs are read off numerators and ratio tests compare
+    cross products.
     """
 
     def __init__(self, p: LPProblem):
@@ -163,31 +164,22 @@ class _Tableau:
         self.ny = len(self.cols)
         m = len(p.constraints)
         self.m = m
-        self.sigma = [1 if b >= 0 else -1 for _, b in p.constraints]
-        art_rows = [i for i in range(m) if self.sigma[i] < 0]
-        self.art_col = {}
-        for k, i in enumerate(art_rows):
-            self.art_col[i] = self.ny + m + k
-        self.nart = len(art_rows)
-        self.track0 = self.ny + m + self.nart
-        self.rhs = self.track0 + m
+        self.rhs = self.ny + m
         self.width = self.rhs + 1
+        self.art_col: dict[int, int] = {}  # row -> artificial basis label
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
         for i, (a, b) in enumerate(p.constraints):
+            s = 1 if b >= 0 else -1
             row = [ZERO] * self.width
-            s = self.sigma[i]
             for k, (j, sg) in enumerate(self.cols):
                 row[k] = s * sg * a[j]
             row[self.ny + i] = Fraction(s)
-            if i in self.art_col:
-                row[self.art_col[i]] = ONE
-                self.basis.append(self.art_col[i])
-            else:
-                self.basis.append(self.ny + i)
-            row[self.track0 + i] = ONE
             row[self.rhs] = s * b
+            if s < 0:
+                self.art_col[i] = self.rhs + len(self.art_col)
+            self.basis.append(self.art_col.get(i, self.ny + i))
             nums, den = _integer_row(row)
             self.rows.append(nums)
             self.dens.append(den)
@@ -220,12 +212,11 @@ class _Tableau:
 
     def bland(self) -> str:
         """Run Bland iterations until optimal or unbounded."""
-        n_real = self.ny + self.m
         rhs = self.rhs
         while True:
             z = self.z
             enter = -1
-            for j in range(n_real):
+            for j in range(rhs):
                 if z[j] > 0:
                     enter = j
                     break
@@ -279,37 +270,32 @@ class _Tableau:
         return tuple(r)
 
 
-def solve_lp(p: LPProblem) -> LPOutcome:
-    """Exact two-phase simplex with Bland's anti-cycling rule."""
+def _simplex(p: LPProblem) -> LPOutcome:
     t = _Tableau(p)
-
-    if t.nart:
-        # phase-1 objective: the sum of the artificial rows, minus one on
-        # each artificial column
+    if t.art_col:
+        # phase-1 objective: minus the sum of the artificials, which over the
+        # structural and slack columns is the sum of the rows they start in
         den = lcm(*[t.dens[i] for i in t.art_col])
         z = [0] * t.width
         for i in t.art_col:
             scale = den // t.dens[i]
             z = [a + scale * b for a, b in zip(z, t.rows[i])]
-        for col in t.art_col.values():
-            z[col] -= den
         t.z, t.zden = _reduced(z, den)
-        status = t.bland()
-        if status != "optimal":
+        if t.bland() != "optimal":
             raise AssertionError("phase 1 cannot be unbounded")
         if t.z[t.rhs] > 0:
-            lam = tuple(
-                Fraction(-t.sigma[i] * t.z[t.track0 + i], t.zden) for i in range(t.m)
+            # dual read-off (Chvatal 1983): the final phase-1 row is a
+            # combination sum w_i R_i of the initial rows, and slack i has
+            # entry sigma_i in R_i only, so lam_i = -w_i sigma_i is minus
+            # slack i's entry; its optimality gives the Farkas signs
+            return Infeasible(
+                tuple(Fraction(-t.z[t.ny + i], t.zden) for i in range(t.m))
             )
-            outcome: LPOutcome = Infeasible(lam)
-            if not verify_outcome(p, outcome):
-                raise AssertionError("simplex produced an invalid Farkas certificate")
-            return outcome
         # drive leftover artificials out of the basis; the slack columns have
         # full row rank, so every row has a nonzero real entry to pivot on
         for i in range(t.m):
-            if t.ny + t.m <= t.basis[i] < t.track0:
-                t.pivot(i, next(j for j in range(t.ny + t.m) if t.rows[i][j]))
+            if t.basis[i] >= t.rhs:
+                t.pivot(i, next(j for j in range(t.rhs) if t.rows[i][j]))
 
     zrow = [ZERO] * t.width
     for k, (j, sg) in enumerate(t.cols):
@@ -317,14 +303,17 @@ def solve_lp(p: LPProblem) -> LPOutcome:
     t.z, t.zden = _integer_row(zrow)
     for i, bcol in enumerate(t.basis):
         t.eliminate(i, bcol)
-    status = t.bland()
-    if status == "unbounded":
-        outcome = Unbounded(t.ray(t.unbounded_col))
-        if not verify_outcome(p, outcome):
-            raise AssertionError("simplex produced an invalid unbounded ray")
-        return outcome
+    if t.bland() == "unbounded":
+        return Unbounded(t.ray(t.unbounded_col))
     x = t.point()
-    outcome = Optimal(x, dot(p.objective, x))
+    return Optimal(x, dot(p.objective, x))
+
+
+def solve_lp(p: LPProblem) -> LPOutcome:
+    """Exact two-phase simplex with Bland's anti-cycling rule."""
+    outcome = _simplex(p)
     if not verify_outcome(p, outcome):
-        raise AssertionError("simplex produced an invalid optimal point")
+        raise AssertionError(
+            f"{type(outcome).__name__} LP outcome failed exact re-verification"
+        )
     return outcome

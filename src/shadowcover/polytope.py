@@ -114,9 +114,6 @@ class Polytope:
             raise ValueError("direction dimension mismatch")
         return max(dot(v, u) for v in self.vertices)
 
-    def facet_normals(self) -> list[Vector]:
-        return [f.normal for f in self.facets]
-
     def centroid(self) -> Vector:
         n = len(self.vertices)
         acc = self.vertices[0]

@@ -93,6 +93,8 @@ def family_valid(a: DirectionSet, fam: SimplicialFamily) -> bool:
         return False
     if any(c <= 0 for c in fam.coefficients):
         return False
+    if any(i not in range(len(a.directions)) for i in fam.members):
+        return False
     total = [Fraction(0)] * a.dim
     for i, c in zip(fam.members, fam.coefficients):
         u = a.directions[i]

@@ -69,6 +69,21 @@ def test_no_fit_width_certificate():
     assert certificate_valid(k, l, FarkasCertificate(pair))
 
 
+def test_certificate_indices_must_be_in_range():
+    from shadowcover.containment import FarkasCertificate
+
+    k = box((0, 3), (0, 3))
+    l = box((0, 2), (0, 2))
+    cert = translate_fit(k, l).certificate
+    assert certificate_valid(k, l, cert)
+    n = len(l.facets)
+    # negative indices would wrap onto the very same facets
+    wrapped = tuple((i - n, lam) for i, lam in cert.multipliers)
+    assert certificate_valid(k, l, FarkasCertificate(wrapped)) is False
+    beyond = ((99, F(1)),) + cert.multipliers
+    assert certificate_valid(k, l, FarkasCertificate(beyond)) is False
+
+
 def test_scaled_counterexample_body_rejected(octahedron):
     fam = is_reliable(octahedron, 2).certificate
     s = build_S(octahedron, fam)
@@ -182,6 +197,25 @@ containment.translate_fit = shifted
 seg = hull_from_vertices([(0,), (3,)])
 parts = [(subspace(3, [row]), seg) for row in [(1, 0, 0), (1, 1, 0), (0, 1, 1)]]
 verdict = lambda: containment.product_containment(named("cube-3"), parts)
+""",
+    "max_scale": """
+from shadowcover import containment
+from shadowcover.polytope import scale_polytope
+containment.fits_exactly = lambda k, l, v: False
+cube = named("cube-3")
+verdict = lambda: containment.max_scale(cube, scale_polytope(cube, 2))
+""",
+    "translate_fit_no_fit": """
+from shadowcover import containment
+from shadowcover.polytope import scale_polytope
+containment.certificate_valid = lambda k, l, cert: False
+cube = named("cube-3")
+verdict = lambda: containment.translate_fit(scale_polytope(cube, 2), cube)
+""",
+    "solve_lp": """
+from shadowcover import lp
+lp.verify_outcome = lambda p, outcome: False
+verdict = lambda: lp.solve_lp(lp.lp_problem([1], [([1], 1)]))
 """,
     "is_reliable": """
 from shadowcover import reliability

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -82,15 +83,50 @@ def test_directions_reject_duplicates():
         directions_from_doc(doc)
 
 
-def test_bundle_round_trip(octahedron):
-    bundle = build_counterexample(
-        octahedron, 2, seed=3, trials=60, verify_trials=80
-    )
+@pytest.fixture(scope="module")
+def octahedron_bundle(octahedron):
+    return build_counterexample(octahedron, 2, seed=3, trials=60, verify_trials=80)
+
+
+def test_bundle_round_trip(octahedron_bundle):
+    bundle = octahedron_bundle
     doc = bundle_to_doc(bundle)
     again = bundle_from_doc(doc)
     assert again == bundle
     # canonical serialisation is byte-stable
     assert dumps_canonical(doc) == dumps_canonical(bundle_to_doc(again))
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # int() would have read these as 0, 1, 2, 3, 10 and 0 without complaint
+        _set(("family", "members", 0), 0.9),
+        _set(("noncontainment", 0, 0), True),
+        _set(("d",), 2.0),
+        _set(("search_seed",), "3"),
+        _set(("entry_bound",), 10.0),
+        _set(("shadow_trials",), False),
+    ],
+    ids=[
+        "member-float", "index-bool", "d-float", "seed-str", "bound-float", "trials-bool"
+    ],
+)
+def test_bundle_integer_fields_reject_non_integers(octahedron_bundle, edit):
+    doc = json.loads(dumps_canonical(bundle_to_doc(octahedron_bundle)))
+    edit(doc)
+    with pytest.raises(FormatError):
+        bundle_from_doc(doc)
 
 
 def test_canonical_dump_is_sorted():

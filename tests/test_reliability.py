@@ -127,6 +127,20 @@ def test_certificate_valid_on_unreduced_directions():
     assert all(family_valid(a, f) for f in enumerate_simplicial(a, 2))
 
 
+def test_family_indices_must_be_in_range():
+    from dataclasses import replace
+
+    a = direction_set(3, [(2, 0, 0), (0, 2, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    fam = is_reliable(a, 1).certificate
+    assert family_valid(a, fam)
+    n = len(a.directions)
+    # negative indices would wrap onto the very same directions
+    wrapped = replace(fam, members=tuple(i - n for i in fam.members))
+    assert family_valid(a, wrapped) is False
+    beyond = replace(fam, members=fam.members[:-1] + (99,))
+    assert family_valid(a, beyond) is False
+
+
 def test_positively_proportional_directions_rejected():
     with pytest.raises(ValueError):
         direction_set(2, [(1, 0), (2, 0)])
