@@ -4,7 +4,10 @@ Rationals travel as exact strings "p" or "p/q" in lowest terms; the reader
 rejects anything else (floats in particular).  Integer-valued fields such as
 direction coordinates may also be plain JSON integers.  A bundle's integer
 fields (dimension, indices, seeds and counts) must be plain JSON integers;
-floats, strings and booleans are rejected.  Writing is canonical
+floats, strings and booleans are rejected, and so are a dimension, trial
+count or entry bound below 1, a failure count outside [0, shadow_trials], a
+family whose members and coefficients differ in number, and a certificate
+entry that is not an [index, multiplier] pair.  Writing is canonical
 (sorted keys, fixed indentation), so identical objects serialise to
 identical bytes.
 """
@@ -44,6 +47,19 @@ def _parse_integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"not an integer: {value!r}")
     return value
+
+
+def _parse_at_least(value: Any, low: int, name: str) -> int:
+    value = _parse_integer(value)
+    if value < low:
+        raise FormatError(f"bundle '{name}' must be at least {low}, got {value}")
+    return value
+
+
+def _parse_pair(entry: Any) -> tuple[int, Fraction]:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise FormatError(f"expected an [index, multiplier] pair, got {entry!r}")
+    return _parse_integer(entry[0]), parse_rational(entry[1])
 
 
 def format_rational(q: Fraction) -> str:
@@ -133,15 +149,16 @@ def bundle_from_doc(doc: Any) -> CounterexampleBundle:
             tuple(_parse_integer(i) for i in doc["family"]["members"]),
             vector([parse_rational(c) for c in doc["family"]["coefficients"]]),
         )
-        cert = FarkasCertificate(
-            tuple(
-                (_parse_integer(i), parse_rational(lam))
-                for i, lam in doc["noncontainment"]
-            )
-        )
+        if len(family.members) != len(family.coefficients):
+            raise FormatError("bundle family has unequal members and coefficients")
+        cert = FarkasCertificate(tuple(map(_parse_pair, doc["noncontainment"])))
+        shadow_trials = _parse_at_least(doc["shadow_trials"], 1, "shadow_trials")
+        shadow_failures = _parse_at_least(doc["shadow_failures"], 0, "shadow_failures")
+        if shadow_failures > shadow_trials:
+            raise FormatError("bundle 'shadow_failures' exceeds 'shadow_trials'")
         return CounterexampleBundle(
             cover=polytope_from_doc(doc["cover"]),
-            d=_parse_integer(doc["d"]),
+            d=_parse_at_least(doc["d"], 1, "d"),
             family=family,
             body=polytope_from_doc(doc["body"]),
             alpha=parse_rational(doc["alpha"]),
@@ -149,11 +166,11 @@ def bundle_from_doc(doc: Any) -> CounterexampleBundle:
             margin=parse_rational(doc["margin"]),
             noncontainment=cert,
             search_seed=_parse_integer(doc["search_seed"]),
-            search_trials=_parse_integer(doc["search_trials"]),
-            entry_bound=_parse_integer(doc["entry_bound"]),
+            search_trials=_parse_at_least(doc["search_trials"], 1, "search_trials"),
+            entry_bound=_parse_at_least(doc["entry_bound"], 1, "entry_bound"),
             verify_seed=_parse_integer(doc["verify_seed"]),
-            shadow_trials=_parse_integer(doc["shadow_trials"]),
-            shadow_failures=_parse_integer(doc["shadow_failures"]),
+            shadow_trials=shadow_trials,
+            shadow_failures=shadow_failures,
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed bundle document: {exc}") from None

@@ -1,8 +1,8 @@
 """Integer kernels: the hot inner loops of the library, in pure Python.
 
 Everything here works on plain integer tuples/lists.  Callers scale rational
-data to integers first; rank, nullspaces, row spaces, circuits and facet
-scans are all invariant under that scaling.  All functions are pure and
+data to integers first; rank, nullspaces, row spaces, circuits and facets
+are all invariant under that scaling.  All functions are pure and
 deterministic.
 """
 
@@ -243,10 +243,64 @@ def cross_rows(rows, dim):
 def hull_facets(points):
     """Facets of the convex hull of full-dimensional integer points.
 
-    Brute force: every point subset of size dim spanning a hyperplane is a
-    candidate; a candidate survives when all points lie weakly on one side.
     Returns (outward content-reduced normal, offset, incident point indices)
-    triples, sorted; cost is C(V, dim) * V dot products.
+    triples, sorted; a facet's incident points are all the points on its
+    hyperplane, collinear edge points included.  Dimension 1 takes the
+    minimum and maximum, dimension 2 walks Andrew's monotone chain
+    (O(V log V) plus one incidence scan per edge), and higher dimensions
+    scan point subsets (see _scan_facets).  The three agree exactly.
+    """
+    dim = len(points[0])
+    if dim == 1:
+        return _interval_facets(points)
+    if dim == 2:
+        return _polygon_facets(points)
+    return _scan_facets(points)
+
+
+def _interval_facets(points):
+    xs = [p[0] for p in points]
+    lo, hi = min(xs), max(xs)
+    top = ((1,), hi, tuple(i for i, x in enumerate(xs) if x == hi))
+    if lo == hi:
+        return [top]
+    return [((-1,), -lo, tuple(i for i, x in enumerate(xs) if x == lo)), top]
+
+
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _polygon_facets(points):
+    pts = sorted(set(points))
+    chain = []
+    # lower then upper hull, counter-clockwise, dropping collinear points
+    for sweep in (pts, pts[::-1]):
+        start = len(chain)
+        for p in sweep:
+            while len(chain) >= start + 2 and _turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chain.pop()  # the other sweep starts at this point
+    out = []
+    for k, (x0, y0) in enumerate(chain):
+        x1, y1 = chain[(k + 1) % len(chain)]
+        # the chain runs counter-clockwise, so cross_rows' normal (dy, -dx)
+        # of the edge points out
+        a, b = y1 - y0, x0 - x1
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        off = a * x0 + b * y0
+        inc = tuple(i for i, (x, y) in enumerate(points) if a * x + b * y == off)
+        out.append(((a, b), off, inc))
+    out.sort()
+    return out
+
+
+def _scan_facets(points):
+    """Brute-force facets: every point subset of size dim spanning a
+    hyperplane is a candidate, kept when all points lie weakly on one side.
+    Cost is C(V, dim) * V dot products.
     """
     npts = len(points)
     dim = len(points[0])

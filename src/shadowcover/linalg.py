@@ -19,6 +19,7 @@ from .kernels import _eliminate, int_nullspace, int_rank
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def as_scalar(x: object) -> Fraction:
@@ -81,11 +82,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     if not m:
         return ()
     return tuple(zip(*m))
-
-
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def identity(n: int) -> Matrix:
@@ -156,13 +152,27 @@ def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
     )
 
 
-def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> Matrix:
+def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
     """The map x -> (B B^T)^-1 B x of coordinates in the row space of B.
 
-    Rows of B must be independent, else B B^T is singular and ValueError is
-    raised.  Composing with the lift c -> B^T c is the identity on
-    coordinates; lifting then mapping is the identity on the row space.
+    Returned as (A, q), an integer matrix and a positive integer with
+    (B B^T)^-1 B = A / q.  With D the common denominator of B and B' = D B,
+    one fraction-free elimination of [B' B'^T | B'] gives
+    (B' B'^T)^-1 B' = (B B^T)^-1 B / D.  Rows of B must be independent, else
+    B B^T is singular and ValueError is raised.  Composing with the lift
+    c -> B^T c is the identity on coordinates; lifting then mapping is the
+    identity on the row space.
     """
-    b = matrix(basis)
-    gram = matmul(b, transpose(b))
-    return matmul(inverse(gram), b)
+    rows = matrix(basis)
+    k = len(rows)
+    den = lcm(1, *[x.denominator for row in rows for x in row])
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    aug = [[sum(x * y for x, y in zip(r, s)) for s in b] + r for r in b]
+    m, pivots = _eliminate(aug, True)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("singular matrix")
+    # row r of the result is D X_r / P_rr, for m's rows [P | X], P diagonal
+    q = lcm(*[abs(m[r][r]) for r in range(k)])
+    a = [[den * (q // m[r][r]) * x for x in m[r][k:]] for r in range(k)]
+    g = gcd(q, *[x for row in a for x in row])
+    return tuple(tuple(x // g for x in row) for row in a), q // g

@@ -7,9 +7,15 @@ values.  Lower-dimensional bodies are first-class: facets are then relative
 facets inside the affine hull, with normals lying in the hull's direction
 space.
 
-Facet enumeration is brute force over point subsets (cost C(V, d) * V inside
-the affine hull) which is exact and entirely adequate for the desk-scale
-bodies this library targets; the inner loop is ``kernels.hull_facets``.
+Every body also carries its vertices as integer numerators over one positive
+common denominator (``Polytope.int_vertices``), so support values and shadows
+are computed in integers.  One integer hull core serves ``hull_from_vertices``,
+which scales its points to integers first, and ``project``, which maps the
+numerators through the subspace's integer coordinate map.  Facets come from
+``kernels.hull_facets`` inside the affine hull: an interval's two ends in
+dimension 1, Andrew's monotone chain in dimension 2, and a brute-force scan
+of point subsets (cost C(V, d) * V) from dimension 3 on, which is exact and
+adequate for the desk-scale bodies this library targets.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels, linalg
 from .linalg import (
+    IntMatrix,
     Matrix,
     Vector,
     add,
@@ -53,7 +60,12 @@ class Facet:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace given by independent rational basis rows."""
+    """A linear subspace given by independent rational basis rows.
+
+    Coordinates in the subspace are those of its basis B: the orthogonal
+    projection of x is B^T c with c = (B B^T)^-1 B x, kept as the integer
+    map A / q of ``linalg.coordinate_map``.
+    """
 
     ambient_dim: int
     basis: Matrix
@@ -71,13 +83,15 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def coord_map(self) -> Matrix:
-        """(B B^T)^-1 B, built on first use: component subspaces never project."""
+    def coord_map(self) -> tuple[IntMatrix, int]:
+        """(A, q) with (B B^T)^-1 B = A / q, built on first use: component
+        subspaces never project."""
         return linalg.coordinate_map(self.basis)
 
     def coords_of(self, x: Sequence[Fraction]) -> Vector:
-        """Coordinates of the orthogonal projection of x onto the subspace."""
-        return matvec(self.coord_map, x)
+        """Coordinates A x / q of the orthogonal projection of x."""
+        a, q = self.coord_map
+        return tuple(dot(row, x) / q for row in a)
 
     def lift(self, c: Sequence[Fraction]) -> Vector:
         """The subspace point with the given coordinates."""
@@ -107,12 +121,24 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
+    @cached_property
+    def int_vertices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The vertices as integer numerators over one positive common
+        denominator; a hull hands over the ones it computed."""
+        return _to_ints(self.vertices)
+
     def support(self, u: Sequence[Fraction]) -> Fraction:
-        """Support value max_{x in P} x . u; u need not be normalised."""
+        """Support value max_{x in P} x . u; u need not be normalised.
+
+        Computed in integers: u is scaled over its own denominator.
+        """
         u = vector(u)
         if len(u) != self.dim:
             raise ValueError("direction dimension mismatch")
-        return max(dot(v, u) for v in self.vertices)
+        (ui,), uden = _to_ints((u,))
+        nums, den = self.int_vertices
+        best = max(sum(a * b for a, b in zip(v, ui)) for v in nums)
+        return Fraction(best, den * uden)
 
     def centroid(self) -> Vector:
         n = len(self.vertices)
@@ -122,15 +148,22 @@ class Polytope:
         return scale(Fraction(1, n), acc)
 
 
+def _to_ints(points: Sequence[Vector]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer numerators of rational points over their common denominator."""
+    den = lcm(1, *[x.denominator for p in points for x in p])
+    nums = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in points)
+    return nums, den
+
+
 def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
     """Convex hull of the given points; redundant points are dropped.
 
     Works inside the affine hull, so segments, polygons in space, and other
-    lower-dimensional bodies are fine: those are hulled in the coordinates
-    y = B p of the hull's integer echelon basis B, and a kernel normal a
-    maps back to the ambient normal B^T a.
+    lower-dimensional bodies are fine.  The points are scaled to integers
+    over their common denominator and hulled by the integer core that
+    ``project`` shares.
     """
-    pts = sorted({vector(p) for p in points})
+    pts = [vector(p) for p in points]
     if not pts:
         raise ValueError("hull of an empty point set")
     n = len(pts[0])
@@ -138,33 +171,46 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
         raise ValueError("points must have dimension at least 1")
     if any(len(p) != n for p in pts):
         raise ValueError("points have mixed dimensions")
-    if len(pts) == 1:
-        return Polytope(n, (pts[0],), (), 0, ())
+    return _int_hull(n, *_to_ints(pts))
 
-    den = lcm(1, *[x.denominator for p in pts for x in p])
-    icoords = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
-    q0 = icoords[0]
-    basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in icoords[1:]])
+
+def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
+    """Hull of the points p / den, for integer points p in R^n and den > 0.
+
+    A lower-dimensional body is hulled in the coordinates y = B p of the
+    integer echelon basis B of its affine hull, and a kernel normal a maps
+    back to the ambient normal B^T a.
+    """
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        point = Polytope(n, (_rational(pts[0], den),), (), 0, ())
+        return _with_int_vertices(point, pts, den)
+
+    q0 = pts[0]
+    basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in pts[1:]])
     adim = len(basis)
+    coords = pts
     if adim < n:
-        icoords = [tuple(sum(b * x for b, x in zip(row, p)) for row in basis)
-                   for p in icoords]
-    raw_facets = kernels.hull_facets(icoords)
+        coords = [tuple(sum(b * x for b, x in zip(row, p)) for row in basis)
+                  for p in pts]
+    raw_facets = kernels.hull_facets(coords)
 
     extreme: list[int] = []
     active: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(pts))}
     for nrm, _, inc in raw_facets:
         for i in inc:
             active[i].append(nrm)
-    for i in range(len(pts)):
-        if active[i] and kernels.int_rank(active[i]) == adim:
+    for i, normals in active.items():
+        # a vertex's facet normals have rank adim; up to dimension 2, any
+        # adim distinct facets through a point have independent normals
+        if len(normals) >= adim and (adim <= 2 or kernels.int_rank(normals) == adim):
             extreme.append(i)
     new_index = {old: new for new, old in enumerate(extreme)}
-    verts = tuple(pts[i] for i in extreme)
+    verts = tuple(_rational(pts[i], den) for i in extreme)
 
     facets = []
     for nrm, b, inc in raw_facets:
-        # a.(B den p) <= b on the hull, so (B^T a).p <= b / den
+        # a.(B p) <= b on the hull, so (B^T a).(p / den) <= b / den
         if adim < n:
             nrm = [sum(a * row[k] for a, row in zip(nrm, basis)) for k in range(n)]
         g = gcd(*nrm)
@@ -172,7 +218,20 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
         incident = tuple(new_index[i] for i in inc if i in new_index)
         facets.append(Facet(normal, Fraction(b, den * g), incident))
     facets.sort(key=lambda f: (f.normal, f.offset))
-    return Polytope(n, verts, tuple(facets), adim, matrix(basis))
+    poly = Polytope(n, verts, tuple(facets), adim, matrix(basis))
+    return _with_int_vertices(poly, [pts[i] for i in extreme], den)
+
+
+def _rational(p: tuple[int, ...], den: int) -> Vector:
+    return tuple(Fraction(x, den) for x in p)
+
+
+def _with_int_vertices(
+    poly: Polytope, nums: Sequence[tuple[int, ...]], den: int
+) -> Polytope:
+    """Fill poly's cached ``int_vertices`` with the numerators the hull had."""
+    poly.__dict__["int_vertices"] = (tuple(nums), den)
+    return poly
 
 
 def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
@@ -206,11 +265,15 @@ def project(p: Polytope, xi: Subspace) -> Polytope:
 
     The d coordinates are taken with respect to the basis rows of xi, so for
     any w in the row space the shadow's support at (B w) equals P's support
-    at w.
+    at w.  Computed in integers: with xi's coordinate map A / q and P's
+    vertex numerators X over D, the shadow is the hull of A X over q D.
     """
     if xi.ambient_dim != p.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    return hull_from_vertices([xi.coords_of(v) for v in p.vertices])
+    a, q = xi.coord_map
+    nums, den = p.int_vertices
+    images = [tuple(sum(r * x for r, x in zip(row, v)) for row in a) for v in nums]
+    return _int_hull(xi.dim, images, q * den)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -446,3 +446,51 @@ def test_product_containment_pinned_by_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "124a33f02b887c2288d197b685d504c2085fd11509033d6f1decc6cf537a7493"
     )
+
+
+def _pinned_shadow_cases():
+    """Seeded K behind L in R^3..R^5 with rational, moved K and every d."""
+    import random
+
+    rng = random.Random("shadow-pin")
+    for seed in range(24):
+        n = rng.choice((3, 4, 5))
+        d = rng.randint(1, n - 1)
+        l = random_polytope(rng.randint(0, 10**6), n, n + 4, 3)
+        k = random_polytope(rng.randint(0, 10**6), n, n + 2, 3)
+        k = scale_polytope(k, F(rng.randint(1, 5), rng.randint(2, 6)))
+        k = translate(k, [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+        yield k, l, d, SubspaceSampler(seed, d, rng.choice((1, 3, 10)))
+
+
+def _pinned_alpha_cases():
+    from shadowcover.corpus import named
+
+    for name, d in (("octahedron", 2), ("square-pyramid", 1), ("cross-polytope-4", 2),
+                    ("cross-polytope-4", 3), ("triangular-prism", 1)):
+        l = named(name)
+        s = build_S(l, is_reliable(l, d).certificate, d)
+        for seed in range(3):
+            yield name, d, l, s, SubspaceSampler(seed, d)
+
+
+def test_shadow_reports_pinned_by_digest():
+    """Passes, first failing trial and its verdict of 24 seeded sampled
+    shadow covers, and find_alpha on 15 seeded corpus cases, pinned by a
+    digest recorded while shadows were projected and hulled in Fraction
+    arithmetic by the brute-force scan."""
+    from shadowcover.counterexample import find_alpha
+
+    reports = []
+    for k, l, d, sampler in _pinned_shadow_cases():
+        rep = sampled_shadow_cover(k, l, d, sampler, 25)
+        reports.append((rep.passes, rep.failed_trial, rep.failed_verdict))
+    assert sum(r[1] is None for r in reports) == 7
+    alphas = [
+        (name, d, find_alpha(l, s, d, sampler, trials=30))
+        for name, d, l, s, sampler in _pinned_alpha_cases()
+    ]
+    text = "\n".join(repr(r) for r in reports + alphas)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "16b2ca94bc45ca7de96730ecf063e740916b653f4fb41863a9f8dbf66dd2f54f"
+    )

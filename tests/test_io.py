@@ -129,6 +129,33 @@ def test_bundle_integer_fields_reject_non_integers(octahedron_bundle, edit):
         bundle_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(("d",), 0),
+        _set(("search_trials",), -5),
+        _set(("shadow_trials",), 0),
+        _set(("entry_bound",), 0),
+        _set(("shadow_failures",), -1),
+        _set(("shadow_failures",), 81),
+        _set(("family", "coefficients"), ["1", "1"]),
+        _set(("noncontainment", 0), [0]),
+        _set(("noncontainment", 0), [0, "1", "2"]),
+    ],
+    ids=[
+        "d-zero", "search-trials-negative", "shadow-trials-zero", "bound-zero",
+        "failures-negative", "failures-above-trials", "family-unequal",
+        "certificate-single", "certificate-triple",
+    ],
+)
+def test_bundle_ranges_and_shapes_rejected(octahedron_bundle, edit):
+    doc = json.loads(dumps_canonical(bundle_to_doc(octahedron_bundle)))
+    assert doc["shadow_trials"] == 80 and len(doc["family"]["members"]) == 4
+    edit(doc)
+    with pytest.raises(FormatError):
+        bundle_from_doc(doc)
+
+
 def test_canonical_dump_is_sorted():
     text = dumps_canonical({"b": 1, "a": [2, {"z": 0, "y": 1}]})
     assert text.index('"a"') < text.index('"b"')

@@ -2,7 +2,7 @@
 
 import gc
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowcover import backend_name, kernels
@@ -64,3 +64,31 @@ def test_echelon_depends_only_on_row_space(rows, rng):
 
 def test_backend_name_reports():
     assert backend_name() == "pure"
+
+
+@st.composite
+def low_dim_clouds(draw):
+    """2-12 integer points in R^1 or R^2 with repeats and collinear edge
+    points, moved by a large scale and a large, possibly negative, shift."""
+    dim = draw(st.sampled_from((1, 2)))
+    grid = st.tuples(*[st.integers(-3, 3)] * dim)
+    pts = draw(st.lists(grid, min_size=2, max_size=12))
+    s = draw(st.sampled_from((1, 7, 10**9 + 7)))
+    shift = draw(st.tuples(*[st.integers(-10**15, 10**15)] * dim))
+    pts = [tuple(s * x + o for x, o in zip(p, shift)) for p in pts]
+    base = pts[0]
+    assume(kernels.int_rank([[a - b for a, b in zip(p, base)] for p in pts]) == dim)
+    return pts
+
+
+@given(low_dim_clouds())
+@settings(max_examples=300, deadline=None)
+def test_low_dimensional_hulls_match_subset_scan(pts):
+    assert kernels.hull_facets(pts) == kernels._scan_facets(pts)
+
+
+def test_polygon_keeps_collinear_edge_points():
+    pts = [(0, 0), (2, 0), (1, 0), (2, 2), (0, 2), (1, 1), (2, 1), (0, 0)]
+    facets = kernels.hull_facets(pts)
+    assert facets == kernels._scan_facets(pts)
+    assert ((0, -1), 0, (0, 1, 2, 7)) in facets

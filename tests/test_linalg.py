@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import sy_nullspace, sy_rank
 from shadowcover.linalg import (
+    coordinate_map,
     identity,
     integerize,
     inverse,
@@ -119,9 +120,9 @@ def test_projector_identities(rows):
     p = projector(m)
     n = len(rows[0])
     # idempotent, symmetric, fixes the basis rows
-    from shadowcover.linalg import matmul, transpose
+    from shadowcover.linalg import transpose
 
-    assert matmul(p, p) == p
+    assert all(matvec(p, matvec(p, e)) == matvec(p, e) for e in identity(n))
     assert transpose(p) == p
     for row in m:
         assert matvec(p, row) == vector(row)
@@ -161,3 +162,41 @@ def test_inverse_rejects_singular_and_nonsquare():
         inverse(matrix([(0, 0), (0, 0)]))
     with pytest.raises(ValueError):
         inverse(matrix([(1, 2, 3), (4, 5, 6)]))
+
+
+@st.composite
+def rational_bases(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):
+        # at least one entry with a denominator, so B is not integral
+        rows[0][0] += F(1, draw(st.integers(2, 9)))
+    if k > 1 and draw(st.integers(0, 4)) == 0:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1 % (k - 1)])]
+    return rows
+
+
+@given(rational_bases())
+@settings(max_examples=150, deadline=None)
+def test_coordinate_map_matches_sympy(rows):
+    b = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                      for r in rows])
+    if b.rank() < len(rows):
+        with pytest.raises(ValueError):
+            coordinate_map(rows)
+        return
+    a, q = coordinate_map(rows)
+    assert q > 0 and all(type(x) is int for row in a for x in row)
+    expected = (b * b.T).inv() * b
+    assert [[F(x, q) for x in row] for row in a] == [
+        [F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(rows))
+    ]
+
+
+def test_coordinate_map_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        coordinate_map(matrix([(1, F(1, 2), 3), (2, 1, 6)]))
+    with pytest.raises(ValueError):
+        coordinate_map(matrix([(1, 0, 0), (0, 0, 0)]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import hrep_vertices
 from shadowcover.corpus import random_polytope, random_symmetric_polytope
-from shadowcover.linalg import matvec, transpose, vector
+from shadowcover.linalg import dot, inverse, matvec, rank, transpose, vector
 from shadowcover.polytope import (
     apply_linear,
     direct_sum,
@@ -364,3 +364,41 @@ def test_hull_matches_hrep_oracle(cloud):
         p.vertices
     )
     assert set(p.vertices) <= {vector(q) for q in pts}
+
+
+def _seeded_body(rng, n):
+    """A rational body in R^n, full-dimensional or flat (embedded, then
+    moved off the coordinate plane by a shear)."""
+    p = random_polytope(rng.randint(0, 10**6), n, n + 3, 4)
+    if rng.random() < 0.3:
+        flat = embed(random_polytope(rng.randint(0, 10**6), n - 1, n + 2, 3), n)
+        shear = [[int(i == j) for j in range(n)] for i in range(n)]
+        shear[n - 1] = [rng.randint(-2, 2) for _ in range(n - 1)] + [1]
+        p = apply_linear(flat, shear)
+    p = scale_polytope(p, F(rng.randint(1, 5), rng.randint(1, 4)))
+    return translate(p, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_project_matches_hull_of_gram_coordinates(n):
+    """project works in integers; its shadow equals the hull of the Fraction
+    coordinates (B B^T)^-1 B v of the body's vertices, for every d."""
+    rng = random.Random(f"gram-coordinates:{n}")
+    for _ in range(10):
+        p = _seeded_body(rng, n)
+        for d in range(1, n + 1):
+            while True:
+                rows = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(d)]
+                if rank(rows) == d:
+                    break
+            xi = subspace(n, rows)
+            g = inverse([[dot(r, s) for s in xi.basis] for r in xi.basis])
+            coords = [matvec(g, matvec(xi.basis, v)) for v in p.vertices]
+            shadow = project(p, xi)
+            assert shadow == hull_from_vertices(coords)
+            nums, den = shadow.int_vertices
+            assert den > 0
+            assert [tuple(F(x, den) for x in v) for v in nums] == list(shadow.vertices)
+            u = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+            assert shadow.support(u) == max(dot(v, u) for v in shadow.vertices)
