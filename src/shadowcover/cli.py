@@ -462,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="direct-sum decomposition from normals")
     p.add_argument("file", help="polytope or directions JSON")
-    p.add_argument("--d", type=int, default=0)
+    # argparse does not convert a non-string default, so without --d the
+    # report keeps "d": 0 and only the table is checked
+    p.add_argument("--d", type=_positive_int_arg, default=0)
     p.add_argument("--affine", action="store_true",
                    help="analyse a lower-dimensional body inside its affine hull")
     p.add_argument("--out", help="directory for factor polytope files")

@@ -18,9 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
-from .kernels import int_rank
+from .kernels import int_dot, int_rank
 from .linalg import (
     Vector,
     add,
@@ -29,6 +30,7 @@ from .linalg import (
     matrix,
     matvec,
     sub,
+    to_ints,
     transpose,
     vector,
     zero_vector,
@@ -77,22 +79,58 @@ class ContainmentVerdict:
 
 
 def fits_exactly(k: Polytope, l: Polytope, v: Sequence[Fraction]) -> bool:
-    """Exact check that K + v is contained in L."""
-    return all(contains_point(l, add(x, v)) for x in k.vertices)
+    """Exact check that K + v is contained in L, i.e. every vertex of K,
+    moved by v, lies in L.
+
+    Computed in integers, with K's vertices X / D and v = vn / vd.  For a
+    flat L, one rank test puts every moved vertex in L's affine hull.  Then
+    each facet a.x <= bn / bd of L must hold at the moved vertex of largest
+    a.X: max(a.X) vd bd + (a.vn) D bd <= bn D vd, i.e. h_K(a) + a.v <= b.
+    """
+    v = vector(v)
+    if len(v) != k.dim:
+        raise ValueError("dimension mismatch in vector sum")
+    if l.dim != k.dim:
+        raise ValueError("point dimension mismatch")
+    nums, den = k.int_vertices
+    (vn,), vd = to_ints((v,))
+    if not l.is_full_dimensional:
+        # X / D + v minus L's first vertex Y0 / E, scaled by D vd E
+        lnums, lden = l.int_vertices
+        shift = [lden * den * a - den * vd * y for a, y in zip(vn, lnums[0])]
+        rows = [integerize(r) for r in l.affine_basis]
+        rows += [tuple(vd * lden * x + s for x, s in zip(xs, shift)) for xs in nums]
+        if int_rank(rows) != l.affine_dim:
+            return False
+    for a, bn, bd in l.int_facets:
+        if (k.int_support(a) * vd + int_dot(a, vn) * den) * bd > bn * den * vd:
+            return False
+    return True
 
 
 def certificate_valid(k: Polytope, l: Polytope, cert: FarkasCertificate) -> bool:
-    """Exact re-verification of a no-fit certificate."""
+    """Exact re-verification of a no-fit certificate.
+
+    Computed in integers: with multipliers m_i / M, K's support values
+    H_i / D at L's facet normals a_i and L's offsets b_i over a common
+    denominator E, the sums are sum(m_i a_i) = 0 and
+    sum(m_i (b_i E D - H_i E)) < 0, each M D E times the rational one.
+    """
     if not cert.multipliers or any(lam <= 0 for _, lam in cert.multipliers):
         return False
     if any(idx not in range(len(l.facets)) for idx, _ in cert.multipliers):
         return False
-    combo = zero_vector(l.dim)
-    total = ZERO
-    for idx, lam in cert.multipliers:
-        facet = l.facets[idx]
-        combo = add(combo, tuple(lam * a for a in facet.normal))
-        total += lam * (facet.offset - k.support(facet.normal))
+    if k.dim != l.dim:
+        raise ValueError("direction dimension mismatch")
+    facets = [l.int_facets[idx] for idx, _ in cert.multipliers]
+    (lams,), _ = to_ints(([lam for _, lam in cert.multipliers],))
+    den = k.int_vertices[1]
+    e = lcm(*[bd for _, _, bd in facets])
+    combo = [0] * l.dim
+    total = 0
+    for m, (a, bn, bd) in zip(lams, facets):
+        combo = [c + m * x for c, x in zip(combo, a)]
+        total += m * (bn * (e // bd) * den - k.int_support(a) * e)
     return not any(combo) and total < 0
 
 
@@ -131,7 +169,7 @@ def _frame(l: Polytope):
     itself, with no Subspace built.
     """
     if l.is_full_dimensional:
-        return [f.normal for f in l.facets], lambda c, k0: c
+        return [a for a, _, _ in l.int_facets], lambda c, k0: c
     xi = Subspace(l.dim, l.affine_basis)
 
     def lift(c: Vector, k0: Vector) -> Vector:
@@ -161,8 +199,11 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
         _require(fits_exactly(k, l, v), "witness translation")
         return ContainmentVerdict(True, witness=v)
     normals, lift = _frame(l)
+    # b - h_K(a) for each facet a.x <= bn / bd, with h_K(a) = H / D
+    den = k.int_vertices[1]
     cons = tuple(
-        (a, f.offset - k.support(f.normal)) for a, f in zip(normals, l.facets)
+        (row, Fraction(bn * den - k.int_support(a) * bd, bd * den))
+        for row, (a, bn, bd) in zip(normals, l.int_facets)
     )
     outcome = solve_lp(LPProblem(zero_vector(l.affine_dim), cons))
     if isinstance(outcome, Optimal):
@@ -190,8 +231,10 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     normals, lift = _frame(l)
     d = l.affine_dim
     objective = vector([1] + [0] * d)
+    den = k.int_vertices[1]
     cons = tuple(
-        ((k.support(f.normal),) + a, f.offset) for a, f in zip(normals, l.facets)
+        ((Fraction(k.int_support(a), den),) + row, f.offset)
+        for row, (a, _, _), f in zip(normals, l.int_facets, l.facets)
     )
     nonneg = (True,) + (False,) * d
     outcome = solve_lp(LPProblem(objective, cons, nonneg))

@@ -121,7 +121,10 @@ def is_decomposable(
 
     A polytope input must be full-dimensional; its facet normals then span.
     A bare direction set is analysed the same way without any geometry.
+    d must be at least 1.
     """
+    if d < 1:
+        raise ValueError("decomposability needs d >= 1")
     if isinstance(body, DirectionSet):
         a = body
     else:

@@ -8,6 +8,7 @@ deterministic.
 
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 
 def _content(vec):
@@ -58,6 +59,11 @@ def _eliminate(rows, full):
         if rank == len(m):
             break
     return m, pivots
+
+
+def int_dot(u, v):
+    """Dot product of two integer vectors."""
+    return sum(map(mul, u, v))
 
 
 def int_rank(rows):

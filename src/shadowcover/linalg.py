@@ -107,6 +107,15 @@ def integerize(u: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def to_ints(points: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
+    """Integer numerators of rational points over their common denominator."""
+    # star-unpack a list, not a generator: a generator's argument tuple is
+    # built by resizing, which strands tuples on the interpreter's free lists
+    den = lcm(1, *[x.denominator for p in points for x in p])
+    nums = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in points)
+    return nums, den
+
+
 def integer_rows(m: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     return [integerize(row) for row in m]
 

@@ -1,17 +1,17 @@
 """Exact rational linear programming, two-phase simplex with Bland's rule.
 
 Maximisation over constraints a.x <= b with optionally sign-restricted
-variables.  Problems and outcomes are ``Fraction``; the tableau in between
-is fraction-free, each row integer numerators over one positive row
-denominator with their common gcd divided out after every update (in the
-line of Edmonds 1967 and Bareiss 1968).  It holds exactly the rationals of
-the ``Fraction`` tableau at every step, so its pivots, outcomes and witnesses
-are identical to those of the rational simplex.  Its only columns are the
-structural ones, one slack per constraint and the right-hand side:
-artificial variables exist only as basis labels, since no step reads their
-columns.  Pivoting uses Bland's smallest index rule, so the solver
-terminates on every input.  Every outcome carries an exactly checkable
-witness:
+variables.  Problem entries are integers or ``Fraction``s and outcomes are
+``Fraction``s; the tableau in between is fraction-free, each row integer
+numerators over one positive row denominator with their common gcd divided
+out after every update (in the line of Edmonds 1967 and Bareiss 1968).  It
+holds exactly the rationals of the ``Fraction`` tableau at every step, so
+its pivots, outcomes and witnesses are identical to those of the rational
+simplex.  Its only columns are the structural ones, one slack per
+constraint and the right-hand side: artificial variables exist only as
+basis labels, since no step reads their columns.  Pivoting uses Bland's
+smallest index rule, so the solver terminates on every input.  Every
+outcome carries an exactly checkable witness:
 
 * Optimal: a point satisfying all constraints, achieving the value.
 * Infeasible: multipliers lam >= 0 with sum(lam_i a_i) vanishing on free
@@ -19,8 +19,8 @@ witness:
   the slack columns of the final phase-1 objective row.
 * Unbounded: a recession ray that strictly improves the objective.
 
-``solve_lp`` re-verifies the witness before returning; a failure there is a
-bug, not an input condition.
+``solve_lp`` re-verifies the witness before returning, by substitution in
+integers; a failure there is a bug, not an input condition.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import Vector, dot, vector
+from .kernels import int_dot
+from .linalg import Vector, dot, to_ints, vector
 
 ZERO = Fraction(0)
 
@@ -38,8 +39,8 @@ ZERO = Fraction(0)
 class LPProblem:
     """maximize objective . x  subject to  a . x <= b for (a, b) pairs.
 
-    ``nonneg[j]`` restricts variable j to x_j >= 0; by default all variables
-    are free.
+    Entries are integers or ``Fraction``s.  ``nonneg[j]`` restricts
+    variable j to x_j >= 0; by default all variables are free.
     """
 
     objective: Vector
@@ -83,12 +84,22 @@ def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
 
 
 def _feasible(p: LPProblem, x: Vector, ray: bool) -> bool:
-    """Signs and a.x <= b hold for a point; for a ray, a.x <= 0 in place of b."""
+    """Signs and a.x <= b hold for a point; for a ray, a.x <= 0 in place of b.
+
+    Computed in integers: x = xn / xd once, and each row (a, b) as integers
+    (an, bn) over its own denominator, so a.x <= b is an.xn <= bn xd.
+    """
     if len(x) != len(p.objective):
         return False
     if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
         return False
-    return all(dot(a, x) <= (ZERO if ray else b) for a, b in p.constraints)
+    (xn,), xd = to_ints((x,))
+    for a, b in p.constraints:
+        (row,), _ = to_ints(((*a, b),))
+        # zip stops at xn's end, so row[-1] (bn) stays out of the dot product
+        if int_dot(row, xn) > (0 if ray else row[-1] * xd):
+            return False
+    return True
 
 
 def verify_outcome(p: LPProblem, outcome: LPOutcome) -> bool:
@@ -133,10 +144,8 @@ def _cancel(
 
 def _integer_row(entries: list[Fraction]) -> tuple[list[int], int]:
     """Integer numerators over one positive denominator for a rational row."""
-    # star-unpack lists, not generators: a generator's argument tuple is
-    # built by resizing, which strands tuples on the interpreter's free lists
-    den = lcm(*[e.denominator for e in entries])
-    return _reduced([e.numerator * (den // e.denominator) for e in entries], den)
+    (nums,), den = to_ints((entries,))
+    return _reduced(list(nums), den)
 
 
 class _Tableau:

@@ -8,10 +8,13 @@ facets inside the affine hull, with normals lying in the hull's direction
 space.
 
 Every body also carries its vertices as integer numerators over one positive
-common denominator (``Polytope.int_vertices``), so support values and shadows
-are computed in integers.  One integer hull core serves ``hull_from_vertices``,
-which scales its points to integers first, and ``project``, which maps the
-numerators through the subspace's integer coordinate map.  Facets come from
+common denominator (``Polytope.int_vertices``) and its facets as integer
+normals with offsets in lowest terms (``Polytope.int_facets``), so support
+values, membership tests and shadows are computed in integers; a hull,
+``translate`` and ``scale_polytope`` hand both over to the body they make.
+One integer hull core serves ``hull_from_vertices``, which scales its points
+to integers first, and ``project``, which maps the numerators through the
+subspace's integer coordinate map.  Facets come from
 ``kernels.hull_facets`` inside the affine hull: an interval's two ends in
 dimension 1, Andrew's monotone chain in dimension 2, and a brute-force scan
 of point subsets (cost C(V, d) * V) from dimension 3 on, which is exact and
@@ -28,6 +31,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels, linalg
+from .kernels import int_dot
 from .linalg import (
     IntMatrix,
     Matrix,
@@ -41,6 +45,7 @@ from .linalg import (
     rank,
     scale,
     sub,
+    to_ints,
     transpose,
     vector,
     zero_vector,
@@ -48,10 +53,16 @@ from .linalg import (
 
 ZERO = Fraction(0)
 
+# a facet a.x <= b as (integer normal a, numerator of b, denominator of b)
+IntFacet = tuple[tuple[int, ...], int, int]
+
 
 @dataclass(frozen=True)
 class Facet:
-    """Half-space a.x <= b supporting the polytope along a facet."""
+    """Half-space a.x <= b supporting the polytope along a facet.
+
+    The normal is a content-reduced integer vector (of ``Fraction`` entries).
+    """
 
     normal: Vector
     offset: Fraction
@@ -122,10 +133,26 @@ class Polytope:
         return self.affine_dim == self.dim
 
     @cached_property
-    def int_vertices(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def int_vertices(self) -> tuple[IntMatrix, int]:
         """The vertices as integer numerators over one positive common
         denominator; a hull hands over the ones it computed."""
-        return _to_ints(self.vertices)
+        return to_ints(self.vertices)
+
+    @cached_property
+    def int_facets(self) -> tuple[IntFacet, ...]:
+        """The facets a.x <= b as (integer a, numerator of b, denominator of
+        b), b in lowest terms; a hull hands over the ones it computed."""
+        out = []
+        for f in self.facets:
+            (a,), s = to_ints((f.normal,))
+            b = f.offset * s
+            out.append((a, b.numerator, b.denominator))
+        return tuple(out)
+
+    def int_support(self, a: Sequence[int]) -> int:
+        """max of a.X over the vertex numerators X: the support value at an
+        integer direction a, times the common denominator."""
+        return max(int_dot(a, v) for v in self.int_vertices[0])
 
     def support(self, u: Sequence[Fraction]) -> Fraction:
         """Support value max_{x in P} x . u; u need not be normalised.
@@ -135,10 +162,8 @@ class Polytope:
         u = vector(u)
         if len(u) != self.dim:
             raise ValueError("direction dimension mismatch")
-        (ui,), uden = _to_ints((u,))
-        nums, den = self.int_vertices
-        best = max(sum(a * b for a, b in zip(v, ui)) for v in nums)
-        return Fraction(best, den * uden)
+        (ui,), uden = to_ints((u,))
+        return Fraction(self.int_support(ui), self.int_vertices[1] * uden)
 
     def centroid(self) -> Vector:
         n = len(self.vertices)
@@ -146,13 +171,6 @@ class Polytope:
         for v in self.vertices[1:]:
             acc = add(acc, v)
         return scale(Fraction(1, n), acc)
-
-
-def _to_ints(points: Sequence[Vector]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer numerators of rational points over their common denominator."""
-    den = lcm(1, *[x.denominator for p in points for x in p])
-    nums = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in points)
-    return nums, den
 
 
 def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
@@ -171,7 +189,7 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
         raise ValueError("points must have dimension at least 1")
     if any(len(p) != n for p in pts):
         raise ValueError("points have mixed dimensions")
-    return _int_hull(n, *_to_ints(pts))
+    return _int_hull(n, *to_ints(pts))
 
 
 def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
@@ -184,7 +202,7 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     pts = sorted(set(points))
     if len(pts) == 1:
         point = Polytope(n, (_rational(pts[0], den),), (), 0, ())
-        return _with_int_vertices(point, pts, den)
+        return _with_ints(point, pts, den, ())
 
     q0 = pts[0]
     basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in pts[1:]])
@@ -208,30 +226,60 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     new_index = {old: new for new, old in enumerate(extreme)}
     verts = tuple(_rational(pts[i], den) for i in extreme)
 
-    facets = []
+    rows = []
     for nrm, b, inc in raw_facets:
         # a.(B p) <= b on the hull, so (B^T a).(p / den) <= b / den
         if adim < n:
             nrm = [sum(a * row[k] for a, row in zip(nrm, basis)) for k in range(n)]
         g = gcd(*nrm)
-        normal = tuple(Fraction(x // g) for x in nrm)
         incident = tuple(new_index[i] for i in inc if i in new_index)
-        facets.append(Facet(normal, Fraction(b, den * g), incident))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    poly = Polytope(n, verts, tuple(facets), adim, matrix(basis))
-    return _with_int_vertices(poly, [pts[i] for i in extreme], den)
+        rows.append((tuple(x // g for x in nrm), Fraction(b, den * g), incident))
+    # distinct facets have distinct content-reduced normals, so sorting on
+    # the integer normal alone gives the (normal, offset) order
+    rows.sort(key=lambda r: r[0])
+    facets = tuple(Facet(tuple(map(Fraction, a)), b, inc) for a, b, inc in rows)
+    poly = Polytope(n, verts, facets, adim, matrix(basis))
+    int_facets = [(a, b.numerator, b.denominator) for a, b, _ in rows]
+    return _with_ints(poly, [pts[i] for i in extreme], den, int_facets)
 
 
 def _rational(p: tuple[int, ...], den: int) -> Vector:
     return tuple(Fraction(x, den) for x in p)
 
 
-def _with_int_vertices(
-    poly: Polytope, nums: Sequence[tuple[int, ...]], den: int
+def _with_ints(
+    poly: Polytope,
+    nums: Sequence[tuple[int, ...]],
+    den: int,
+    int_facets: Sequence[IntFacet],
 ) -> Polytope:
-    """Fill poly's cached ``int_vertices`` with the numerators the hull had."""
+    """Fill poly's cached ``int_vertices`` and ``int_facets`` with the
+    integers its maker computed."""
     poly.__dict__["int_vertices"] = (tuple(nums), den)
+    poly.__dict__["int_facets"] = tuple(int_facets)
     return poly
+
+
+def _moved(
+    p: Polytope,
+    nums: Sequence[tuple[int, ...]],
+    den: int,
+    offsets: Iterable[Fraction],
+) -> Polytope:
+    """P with vertices nums / den and new facet offsets, facets otherwise
+    kept: the image of P under a translation or a positive dilation."""
+    g = gcd(den, *[x for v in nums for x in v])
+    if g > 1:
+        nums = [tuple(x // g for x in v) for v in nums]
+        den //= g
+    verts = tuple(_rational(v, den) for v in nums)
+    facets = []
+    int_facets = []
+    for f, (a, _, _), b in zip(p.facets, p.int_facets, offsets):
+        facets.append(Facet(f.normal, b, f.incident))
+        int_facets.append((a, b.numerator, b.denominator))
+    poly = Polytope(p.dim, verts, tuple(facets), p.affine_dim, p.affine_basis)
+    return _with_ints(poly, nums, den, int_facets)
 
 
 def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
@@ -239,24 +287,37 @@ def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
 
 
 def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
-    """Translate a polytope; an exact fast path, no re-hulling needed."""
+    """Translate a polytope; an exact fast path, no re-hulling needed.
+
+    Computed on P's integers: with vertices X / D and t = tn / td, the
+    vertices become (td X + D tn) / (D td), and a.x <= b becomes
+    a.x <= b + a.t.
+    """
     t = vector(t)
     if len(t) != p.dim:
         raise ValueError("translation dimension mismatch")
-    verts = tuple(add(v, t) for v in p.vertices)
-    facets = tuple(
-        Facet(f.normal, f.offset + dot(f.normal, t), f.incident) for f in p.facets
-    )
-    return Polytope(p.dim, verts, facets, p.affine_dim, p.affine_basis)
+    (tn,), td = to_ints((t,))
+    nums, den = p.int_vertices
+    shift = [den * x for x in tn]
+    moved = [tuple(td * x + s for x, s in zip(v, shift)) for v in nums]
+    offsets = (Fraction(bn * td + int_dot(a, tn) * bd, bd * td)
+               for a, bn, bd in p.int_facets)
+    return _moved(p, moved, den * td, offsets)
 
 
 def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
-    """The dilate c * P about the origin."""
+    """The dilate c * P about the origin.
+
+    For c > 0, computed on P's integers: the vertex numerators and facet
+    offsets are multiplied by c and the facets kept.
+    """
     c = Fraction(c)
     if c > 0:
-        verts = tuple(scale(c, v) for v in p.vertices)
-        facets = tuple(Facet(f.normal, c * f.offset, f.incident) for f in p.facets)
-        return Polytope(p.dim, verts, facets, p.affine_dim, p.affine_basis)
+        cn, cd = c.numerator, c.denominator
+        nums, den = p.int_vertices
+        scaled = [tuple(cn * x for x in v) for v in nums]
+        offsets = (Fraction(cn * bn, cd * bd) for _, bn, bd in p.int_facets)
+        return _moved(p, scaled, den * cd, offsets)
     return hull_from_vertices([scale(c, v) for v in p.vertices])
 
 
@@ -365,17 +426,24 @@ def is_centrally_symmetric(p: Polytope) -> Vector | None:
 
 
 def contains_point(p: Polytope, x: Sequence[Fraction]) -> bool:
-    """Exact membership test (affine hull plus facet inequalities)."""
+    """Exact membership test (affine hull plus facet inequalities).
+
+    Computed in integers: with x = xn / xd, a facet a.x <= bn / bd holds
+    when (a . xn) bd <= bn xd.
+    """
     x = vector(x)
     if len(x) != p.dim:
         raise ValueError("point dimension mismatch")
+    (xn,), xd = to_ints((x,))
     if not p.is_full_dimensional:
-        # n+1 rows in R^n always have rank n, so only a flat body needs this
+        # n+1 rows in R^n always have rank n, so only a flat body needs this;
+        # x minus the first vertex X0 / D, scaled by D xd
+        nums, den = p.int_vertices
         rows = [integerize(row) for row in p.affine_basis]
-        rows.append(integerize(sub(x, p.vertices[0])))
+        rows.append(tuple(den * a - xd * b for a, b in zip(xn, nums[0])))
         if kernels.int_rank(rows) != p.affine_dim:
             return False
-    return all(dot(f.normal, x) <= f.offset for f in p.facets)
+    return all(int_dot(a, xn) * bd <= bn * xd for a, bn, bd in p.int_facets)
 
 
 def translate_of(p: Polytope, q: Polytope) -> Vector | None:

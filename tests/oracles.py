@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own code paths: ranks and
 nullspaces come from sympy, hulls are checked by reconstructing vertices
 from the half-space side (H-to-V, the reverse of the library's V-to-H), and
-LP optima are recomputed by enumerating basic solutions.
+LP optima are recomputed by enumerating basic solutions.  The membership,
+containment and LP feasibility checks that the library runs in integers are
+kept here in their direct ``Fraction`` form, substituting into the rational
+facets and constraints.
 """
 
 from __future__ import annotations
@@ -68,6 +71,42 @@ def lp_optimum_by_enumeration(objective, constraints, nonneg=()) -> Fraction | N
         if best is None or val > best:
             best = val
     return best
+
+
+def _fdot(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def frac_contains_point(p, x) -> bool:
+    """x in P: x - v0 in the direction space of a flat P, and every facet
+    inequality a.x <= b, in Fraction arithmetic."""
+    x = tuple(Fraction(c) for c in x)
+    if len(x) != p.dim:
+        raise ValueError("point dimension mismatch")
+    if p.affine_dim < p.dim:
+        rows = [list(r) for r in p.affine_basis]
+        rows.append([a - b for a, b in zip(x, p.vertices[0])])
+        if sy_rank(rows) != p.affine_dim:
+            return False
+    return all(_fdot(f.normal, x) <= f.offset for f in p.facets)
+
+
+def frac_fits_exactly(k, l, v) -> bool:
+    """K + v inside L: every vertex of K, moved by v, lies in L."""
+    return all(
+        frac_contains_point(l, [a + Fraction(b) for a, b in zip(x, v)])
+        for x in k.vertices
+    )
+
+
+def frac_feasible(p, x, ray: bool) -> bool:
+    """An LP point (or, with ray, a recession ray) satisfies the signs and
+    every constraint a.x <= b (a.x <= 0 for a ray), in Fraction arithmetic."""
+    if len(x) != len(p.objective):
+        return False
+    if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
+        return False
+    return all(_fdot(a, x) <= (0 if ray else b) for a, b in p.constraints)
 
 
 def grid_rationals(lo: Fraction, hi: Fraction, steps: int):

@@ -96,6 +96,18 @@ def test_decompose_pyramid(capsys, pyramid_file):
     assert "dims [3]" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_decompose_rejects_nonpositive_d(capsys, pyramid_file, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", pyramid_file, "--d", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"shadowcover decompose: error: argument --d: "
+        f"must be a positive integer: '{value}'"
+    ]
+
+
 def test_decompose_writes_factors(capsys, cube_file, tmp_path):
     outdir = tmp_path / "factors"
     outdir.mkdir()

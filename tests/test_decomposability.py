@@ -120,6 +120,13 @@ def test_decomposability_verdicts(pyramid, cube3, q_directions):
     assert ok and sorted(report.dims()) == [1, 2]
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_decomposability_rejects_nonpositive_d(cube3, q_directions, d):
+    for body in (cube3, q_directions):
+        with pytest.raises(ValueError, match="d >= 1"):
+            is_decomposable(body, d)
+
+
 def test_extract_factors_cube(cube3):
     comps = normal_components(facet_direction_set(cube3))
     factors = extract_factors(cube3, comps)
