@@ -25,7 +25,6 @@ from .kernels import int_dot, int_rank
 from .linalg import (
     Vector,
     add,
-    integerize,
     inverse,
     matrix,
     matvec,
@@ -98,7 +97,7 @@ def fits_exactly(k: Polytope, l: Polytope, v: Sequence[Fraction]) -> bool:
         # X / D + v minus L's first vertex Y0 / E, scaled by D vd E
         lnums, lden = l.int_vertices
         shift = [lden * den * a - den * vd * y for a, y in zip(vn, lnums[0])]
-        rows = [integerize(r) for r in l.affine_basis]
+        rows = list(l.int_basis)
         rows += [tuple(vd * lden * x + s for x, s in zip(xs, shift)) for xs in nums]
         if int_rank(rows) != l.affine_dim:
             return False
@@ -118,7 +117,7 @@ def certificate_valid(k: Polytope, l: Polytope, cert: FarkasCertificate) -> bool
     """
     if not cert.multipliers or any(lam <= 0 for _, lam in cert.multipliers):
         return False
-    if any(idx not in range(len(l.facets)) for idx, _ in cert.multipliers):
+    if any(idx not in range(len(l.int_facets)) for idx, _ in cert.multipliers):
         return False
     if k.dim != l.dim:
         raise ValueError("direction dimension mismatch")
@@ -139,9 +138,7 @@ def _direction_space_contained(k: Polytope, l: Polytope) -> bool:
         return True
     if l.affine_dim == 0:
         return False
-    rows = [integerize(r) for r in l.affine_basis]
-    rows += [integerize(r) for r in k.affine_basis]
-    return int_rank(rows) == l.affine_dim
+    return int_rank(l.int_basis + k.int_basis) == l.affine_dim
 
 
 def _sparse_multipliers(lam: Sequence[Fraction]) -> FarkasCertificate:
@@ -163,21 +160,21 @@ def _frame(l: Polytope):
     """L's facet normals in the fitting LP's coordinates, and the way back.
 
     The LP runs in coordinates of L's affine hull: facet normal a becomes
-    the row B a for L's basis rows B, and an LP point c lifts to B^T c plus
-    the perpendicular shift that carries a point k0 of the body into L's
-    affine hull.  A full-dimensional L keeps its normals and lifts c to
-    itself, with no Subspace built.
+    the integer row B a for L's basis rows B, and an LP point c lifts to
+    B^T c plus the perpendicular shift that carries the first vertex of the
+    body being fitted into L's affine hull.  A full-dimensional L keeps its
+    normals and lifts c to itself, reading nothing of the body.
     """
     if l.is_full_dimensional:
-        return [a for a, _, _ in l.int_facets], lambda c, k0: c
+        return [a for a, _, _ in l.int_facets], lambda c, body: c
     xi = Subspace(l.dim, l.affine_basis)
 
-    def lift(c: Vector, k0: Vector) -> Vector:
-        offset = sub(l.vertices[0], k0)
+    def lift(c: Vector, body: Polytope) -> Vector:
+        offset = sub(l.vertices[0], body.vertices[0])
         v_perp = sub(offset, xi.lift(xi.coords_of(offset)))
         return add(v_perp, xi.lift(c))
 
-    return [matvec(xi.basis, f.normal) for f in l.facets], lift
+    return [tuple(int_dot(b, a) for b in l.int_basis) for a, _, _ in l.int_facets], lift
 
 
 def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
@@ -207,7 +204,7 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
     )
     outcome = solve_lp(LPProblem(zero_vector(l.affine_dim), cons))
     if isinstance(outcome, Optimal):
-        v = lift(outcome.point, k.vertices[0])
+        v = lift(outcome.point, k)
         _require(fits_exactly(k, l, v), "witness translation")
         return ContainmentVerdict(True, witness=v)
     _require(isinstance(outcome, Infeasible), "no-fit LP outcome")
@@ -233,8 +230,8 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     objective = vector([1] + [0] * d)
     den = k.int_vertices[1]
     cons = tuple(
-        ((Fraction(k.int_support(a), den),) + row, f.offset)
-        for row, (a, _, _), f in zip(normals, l.int_facets, l.facets)
+        ((Fraction(k.int_support(a), den),) + row, Fraction(bn, bd))
+        for row, (a, bn, bd) in zip(normals, l.int_facets)
     )
     nonneg = (True,) + (False,) * d
     outcome = solve_lp(LPProblem(objective, cons, nonneg))
@@ -242,8 +239,9 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
         raise RuntimeError("maximal scale is unbounded (degenerate body)")
     _require(isinstance(outcome, Optimal), "maximal-scale LP outcome")
     alpha = outcome.point[0]
-    v = lift(outcome.point[1:], tuple(alpha * x for x in k.vertices[0]))
-    _require(fits_exactly(scale_polytope(k, alpha), l, v), "witness translation")
+    scaled = scale_polytope(k, alpha)
+    v = lift(outcome.point[1:], scaled)
+    _require(fits_exactly(scaled, l, v), "witness translation")
     return alpha, v
 
 
@@ -255,12 +253,18 @@ def shadow_fit(k: Polytope, l: Polytope, xi: Subspace) -> ContainmentVerdict:
     is an ambient vector lying in xi.  A certificate refers to the facets of
     the projected L.
     """
-    if xi.ambient_dim != k.dim or k.dim != l.dim:
-        raise ValueError("subspace and bodies must share an ambient dimension")
-    verdict = translate_fit(project(k, xi), project(l, xi))
+    verdict = _shadow_verdict(k, l, xi)
     if verdict.fits:
         return ContainmentVerdict(True, witness=xi.lift(verdict.witness))
     return verdict
+
+
+def _shadow_verdict(k: Polytope, l: Polytope, xi: Subspace) -> ContainmentVerdict:
+    """`translate_fit` of the two shadows, its witness left in subspace
+    coordinates."""
+    if xi.ambient_dim != k.dim or k.dim != l.dim:
+        raise ValueError("subspace and bodies must share an ambient dimension")
+    return translate_fit(project(k, xi), project(l, xi))
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,8 @@ def sampled_shadow_cover(
     sampler: SubspaceSampler,
     trials: int,
 ) -> ShadowCoverReport:
-    """Run shadow_fit over `trials` sampled d-subspaces."""
+    """Run shadow_fit over `trials` sampled d-subspaces, counting verdicts
+    only: a passing shadow's witness is not lifted."""
     n = k.dim
     if not 1 <= d <= n - 1:
         raise ValueError("shadow dimension must satisfy 1 <= d <= n-1")
@@ -343,7 +348,7 @@ def sampled_shadow_cover(
     stream = sampler.stream(n)
     for t in range(trials):
         xi = next(stream)
-        verdict = shadow_fit(k, l, xi)
+        verdict = _shadow_verdict(k, l, xi)
         if verdict.fits:
             passes += 1
         elif failed_trial is None:

@@ -2,14 +2,14 @@
 
 Rationals travel as exact strings "p" or "p/q" in lowest terms; the reader
 rejects anything else (floats in particular).  Integer-valued fields such as
-direction coordinates may also be plain JSON integers.  A bundle's integer
-fields (dimension, indices, seeds and counts) must be plain JSON integers;
-floats, strings and booleans are rejected, and so are a dimension, trial
-count or entry bound below 1, a failure count outside [0, shadow_trials], a
-family whose members and coefficients differ in number, and a certificate
-entry that is not an [index, multiplier] pair.  Writing is canonical
-(sorted keys, fixed indentation), so identical objects serialise to
-identical bytes.
+direction coordinates may also be plain JSON integers.  Integer fields (a
+document's 'dim', a bundle's dimension, indices, seeds and counts) must be
+plain JSON integers; floats, strings and booleans are rejected, and so are a
+dimension, trial count or entry bound below 1, a failure count outside
+[0, shadow_trials], a family whose members and coefficients differ in
+number, and a certificate entry that is not an [index, multiplier] pair.
+Writing is canonical (sorted keys, fixed indentation), so identical objects
+serialise to identical bytes.
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ def _parse_at_least(value: Any, low: int, name: str) -> int:
     return value
 
 
+def _parse_dim(doc: dict, kind: str) -> int:
+    try:
+        return _parse_at_least(doc.get("dim"), 1, "dim")
+    except FormatError:
+        raise FormatError(f"{kind} 'dim' must be a positive integer") from None
+
+
 def _parse_pair(entry: Any) -> tuple[int, Fraction]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise FormatError(f"expected an [index, multiplier] pair, got {entry!r}")
@@ -84,10 +91,8 @@ def polytope_to_doc(p: Polytope) -> dict:
 def polytope_from_doc(doc: Any) -> Polytope:
     if not isinstance(doc, dict):
         raise FormatError("polytope document must be an object")
-    dim = doc.get("dim")
+    dim = _parse_dim(doc, "polytope")
     verts = doc.get("vertices")
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError("polytope 'dim' must be a positive integer")
     if not isinstance(verts, list) or not verts:
         raise FormatError("polytope 'vertices' must be a nonempty list")
     points = [_parse_point(v, dim) for v in verts]
@@ -104,10 +109,8 @@ def directions_to_doc(a: DirectionSet) -> dict:
 def directions_from_doc(doc: Any) -> DirectionSet:
     if not isinstance(doc, dict):
         raise FormatError("directions document must be an object")
-    dim = doc.get("dim")
+    dim = _parse_dim(doc, "directions")
     dirs = doc.get("directions")
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError("directions 'dim' must be a positive integer")
     if not isinstance(dirs, list) or not dirs:
         raise FormatError("'directions' must be a nonempty list")
     try:

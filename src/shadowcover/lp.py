@@ -142,12 +142,6 @@ def _cancel(
     return _reduced([x * q - f * y for x, y in zip(row, prow)], den * q)
 
 
-def _integer_row(entries: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one positive denominator for a rational row."""
-    (nums,), den = to_ints((entries,))
-    return _reduced(list(nums), den)
-
-
 class _Tableau:
     """Dense simplex tableau in canonical form (basis columns are units).
 
@@ -180,16 +174,17 @@ class _Tableau:
         self.dens: list[int] = []
         self.basis: list[int] = []
         for i, (a, b) in enumerate(p.constraints):
-            s = 1 if b >= 0 else -1
-            row = [ZERO] * self.width
-            for k, (j, sg) in enumerate(self.cols):
-                row[k] = s * sg * a[j]
-            row[self.ny + i] = Fraction(s)
-            row[self.rhs] = s * b
+            # (a, b) as integers (an, bn) over one denominator, signed so the
+            # right-hand side is nonnegative; the slack's entry is s * den
+            ((*an, bn),), den = to_ints(((*a, b),))
+            s = 1 if bn >= 0 else -1
+            row = [s * sg * an[j] for j, sg in self.cols] + [0] * (m + 1)
+            row[self.ny + i] = s * den
+            row[self.rhs] = s * bn
             if s < 0:
                 self.art_col[i] = self.rhs + len(self.art_col)
             self.basis.append(self.art_col.get(i, self.ny + i))
-            nums, den = _integer_row(row)
+            nums, den = _reduced(row, den)
             self.rows.append(nums)
             self.dens.append(den)
         self.z: list[int] = [0] * self.width
@@ -306,10 +301,8 @@ def _simplex(p: LPProblem) -> LPOutcome:
             if t.basis[i] >= t.rhs:
                 t.pivot(i, next(j for j in range(t.rhs) if t.rows[i][j]))
 
-    zrow = [ZERO] * t.width
-    for k, (j, sg) in enumerate(t.cols):
-        zrow[k] = sg * p.objective[j]
-    t.z, t.zden = _integer_row(zrow)
+    (obj,), den = to_ints((p.objective,))
+    t.z, t.zden = _reduced([sg * obj[j] for j, sg in t.cols] + [0] * (t.m + 1), den)
     for i, bcol in enumerate(t.basis):
         t.eliminate(i, bcol)
     if t.bland() == "unbounded":

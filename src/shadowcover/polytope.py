@@ -1,17 +1,13 @@
-"""Polytopes with exact rational vertices.
+"""Polytopes with exact rational vertices, stored in integers.
 
-A ``Polytope`` stores its irredundant vertex list (sorted, so equal bodies
-compare equal) together with the derived facet description.  Facet normals
-are outward, content-reduced integer vectors; offsets are the exact support
-values.  Lower-dimensional bodies are first-class: facets are then relative
-facets inside the affine hull, with normals lying in the hull's direction
-space.
+A ``Polytope`` stores only a canonical integer form (see its docstring), so
+equal bodies compare equal; its ``Fraction`` vertices, facets and affine
+basis are views for the API and JSON, built on first read.  Facet normals
+are outward and content-reduced.  Lower-dimensional bodies are first-class:
+facets are then relative facets inside the affine hull, with normals lying
+in the hull's direction space.  Support values, membership tests, shadows,
+``translate`` and ``scale_polytope`` compute on the integers alone.
 
-Every body also carries its vertices as integer numerators over one positive
-common denominator (``Polytope.int_vertices``) and its facets as integer
-normals with offsets in lowest terms (``Polytope.int_facets``), so support
-values, membership tests and shadows are computed in integers; a hull,
-``translate`` and ``scale_polytope`` hand both over to the body they make.
 One integer hull core serves ``hull_from_vertices``, which scales its points
 to integers first, and ``project``, which maps the numerators through the
 subspace's integer coordinate map.  Facets come from
@@ -38,7 +34,6 @@ from .linalg import (
     Vector,
     add,
     dot,
-    integerize,
     matrix,
     matvec,
     neg,
@@ -50,8 +45,6 @@ from .linalg import (
     vector,
     zero_vector,
 )
-
-ZERO = Fraction(0)
 
 # a facet a.x <= b as (integer normal a, numerator of b, denominator of b)
 IntFacet = tuple[tuple[int, ...], int, int]
@@ -113,41 +106,51 @@ def subspace(ambient_dim: int, rows: Iterable[Iterable[object]]) -> Subspace:
     return Subspace(ambient_dim, matrix(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Polytope:
-    """Convex hull of finitely many rational points.
+    """Convex hull of finitely many rational points, stored in integers.
 
-    vertices: the extreme points, lexicographically sorted.
-    facets: relative facets inside the affine hull, sorted by (normal, offset).
-    affine_basis: integer rows spanning the hull's direction space.
+    int_vertices: the extreme points as (numerators X, denominator D), D > 0
+      coprime to X's entries, rows sorted.
+    int_facets: relative facets a.x <= bn / bd, a content-reduced, bn / bd in
+      lowest terms, sorted by a; incidences: the vertices on each facet.
+    int_basis: the integer echelon basis of the hull's direction space.
+
+    ``vertices``, ``facets`` and ``affine_basis`` are ``Fraction`` views,
+    built on first read; equality and hashing use the canonical integers.
     """
 
     dim: int
-    vertices: tuple[Vector, ...]
-    facets: tuple[Facet, ...]
+    int_vertices: tuple[IntMatrix, int]
+    int_facets: tuple[IntFacet, ...]
+    incidences: tuple[tuple[int, ...], ...]
     affine_dim: int
-    affine_basis: Matrix
+    int_basis: IntMatrix
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        nums, den = self.int_vertices
+        return tuple(tuple(Fraction(x, den) for x in v) for v in nums)
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        return tuple(
+            Facet(tuple(map(Fraction, a)), Fraction(bn, bd), inc)
+            for (a, bn, bd), inc in zip(self.int_facets, self.incidences)
+        )
+
+    @cached_property
+    def affine_basis(self) -> Matrix:
+        return matrix(self.int_basis)
+
+    def __repr__(self) -> str:
+        # the text of the Fraction form, which digests of bodies have pinned
+        names = ("dim", "vertices", "facets", "affine_dim", "affine_basis")
+        return f"Polytope({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
-
-    @cached_property
-    def int_vertices(self) -> tuple[IntMatrix, int]:
-        """The vertices as integer numerators over one positive common
-        denominator; a hull hands over the ones it computed."""
-        return to_ints(self.vertices)
-
-    @cached_property
-    def int_facets(self) -> tuple[IntFacet, ...]:
-        """The facets a.x <= b as (integer a, numerator of b, denominator of
-        b), b in lowest terms; a hull hands over the ones it computed."""
-        out = []
-        for f in self.facets:
-            (a,), s = to_ints((f.normal,))
-            b = f.offset * s
-            out.append((a, b.numerator, b.denominator))
-        return tuple(out)
 
     def int_support(self, a: Sequence[int]) -> int:
         """max of a.X over the vertex numerators X: the support value at an
@@ -166,11 +169,8 @@ class Polytope:
         return Fraction(self.int_support(ui), self.int_vertices[1] * uden)
 
     def centroid(self) -> Vector:
-        n = len(self.vertices)
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = add(acc, v)
-        return scale(Fraction(1, n), acc)
+        nums, den = self.int_vertices
+        return tuple(Fraction(sum(col), len(nums) * den) for col in zip(*nums))
 
 
 def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
@@ -201,8 +201,7 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     """
     pts = sorted(set(points))
     if len(pts) == 1:
-        point = Polytope(n, (_rational(pts[0], den),), (), 0, ())
-        return _with_ints(point, pts, den, ())
+        return Polytope(n, _canonical(pts, den), (), (), 0, ())
 
     q0 = pts[0]
     basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in pts[1:]])
@@ -224,7 +223,6 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
         if len(normals) >= adim and (adim <= 2 or kernels.int_rank(normals) == adim):
             extreme.append(i)
     new_index = {old: new for new, old in enumerate(extreme)}
-    verts = tuple(_rational(pts[i], den) for i in extreme)
 
     rows = []
     for nrm, b, inc in raw_facets:
@@ -233,53 +231,48 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
             nrm = [sum(a * row[k] for a, row in zip(nrm, basis)) for k in range(n)]
         g = gcd(*nrm)
         incident = tuple(new_index[i] for i in inc if i in new_index)
-        rows.append((tuple(x // g for x in nrm), Fraction(b, den * g), incident))
+        rows.append((tuple(x // g for x in nrm), *_lowest(b, den * g), incident))
     # distinct facets have distinct content-reduced normals, so sorting on
     # the integer normal alone gives the (normal, offset) order
     rows.sort(key=lambda r: r[0])
-    facets = tuple(Facet(tuple(map(Fraction, a)), b, inc) for a, b, inc in rows)
-    poly = Polytope(n, verts, facets, adim, matrix(basis))
-    int_facets = [(a, b.numerator, b.denominator) for a, b, _ in rows]
-    return _with_ints(poly, [pts[i] for i in extreme], den, int_facets)
+    return Polytope(
+        n,
+        _canonical([pts[i] for i in extreme], den),
+        tuple((a, bn, bd) for a, bn, bd, _ in rows),
+        tuple(inc for *_, inc in rows),
+        adim,
+        tuple(basis),
+    )
 
 
-def _rational(p: tuple[int, ...], den: int) -> Vector:
-    return tuple(Fraction(x, den) for x in p)
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _with_ints(
-    poly: Polytope,
-    nums: Sequence[tuple[int, ...]],
-    den: int,
-    int_facets: Sequence[IntFacet],
-) -> Polytope:
-    """Fill poly's cached ``int_vertices`` and ``int_facets`` with the
-    integers its maker computed."""
-    poly.__dict__["int_vertices"] = (tuple(nums), den)
-    poly.__dict__["int_facets"] = tuple(int_facets)
-    return poly
+def _canonical(nums: Sequence[tuple[int, ...]], den: int) -> tuple[IntMatrix, int]:
+    """The points nums / den with den made coprime to their entries."""
+    g = gcd(den, *[x for v in nums for x in v])
+    return tuple(tuple(x // g for x in v) for v in nums), den // g
 
 
 def _moved(
     p: Polytope,
     nums: Sequence[tuple[int, ...]],
     den: int,
-    offsets: Iterable[Fraction],
+    offsets: Iterable[tuple[int, int]],
 ) -> Polytope:
-    """P with vertices nums / den and new facet offsets, facets otherwise
-    kept: the image of P under a translation or a positive dilation."""
-    g = gcd(den, *[x for v in nums for x in v])
-    if g > 1:
-        nums = [tuple(x // g for x in v) for v in nums]
-        den //= g
-    verts = tuple(_rational(v, den) for v in nums)
-    facets = []
-    int_facets = []
-    for f, (a, _, _), b in zip(p.facets, p.int_facets, offsets):
-        facets.append(Facet(f.normal, b, f.incident))
-        int_facets.append((a, b.numerator, b.denominator))
-    poly = Polytope(p.dim, verts, tuple(facets), p.affine_dim, p.affine_basis)
-    return _with_ints(poly, nums, den, int_facets)
+    """P with vertices nums / den and facet offsets num / den, facets
+    otherwise kept: the image of P under a translation or a positive
+    dilation."""
+    int_facets = tuple(
+        (a, *_lowest(*b)) for (a, _, _), b in zip(p.int_facets, offsets)
+    )
+    return Polytope(
+        p.dim, _canonical(nums, den), int_facets, p.incidences,
+        p.affine_dim, p.int_basis,
+    )
 
 
 def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
@@ -300,7 +293,7 @@ def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
     nums, den = p.int_vertices
     shift = [den * x for x in tn]
     moved = [tuple(td * x + s for x, s in zip(v, shift)) for v in nums]
-    offsets = (Fraction(bn * td + int_dot(a, tn) * bd, bd * td)
+    offsets = ((bn * td + int_dot(a, tn) * bd, bd * td)
                for a, bn, bd in p.int_facets)
     return _moved(p, moved, den * td, offsets)
 
@@ -308,17 +301,18 @@ def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
 def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
     """The dilate c * P about the origin.
 
-    For c > 0, computed on P's integers: the vertex numerators and facet
-    offsets are multiplied by c and the facets kept.
+    Computed on P's integers: the vertex numerators are multiplied by c.
+    For c > 0 the facet offsets are too and the facets are kept; otherwise
+    the image is hulled afresh.
     """
     c = Fraction(c)
+    cn, cd = c.numerator, c.denominator
+    nums, den = p.int_vertices
+    scaled = [tuple(cn * x for x in v) for v in nums]
     if c > 0:
-        cn, cd = c.numerator, c.denominator
-        nums, den = p.int_vertices
-        scaled = [tuple(cn * x for x in v) for v in nums]
-        offsets = (Fraction(cn * bn, cd * bd) for _, bn, bd in p.int_facets)
+        offsets = ((cn * bn, cd * bd) for _, bn, bd in p.int_facets)
         return _moved(p, scaled, den * cd, offsets)
-    return hull_from_vertices([scale(c, v) for v in p.vertices])
+    return _int_hull(p.dim, scaled, den * cd)
 
 
 def project(p: Polytope, xi: Subspace) -> Polytope:
@@ -399,11 +393,13 @@ def embed(p: Polytope, target_dim: int) -> Polytope:
         raise ValueError("target dimension must not shrink the body")
     if target_dim == p.dim:
         return p
-    pad = (ZERO,) * (target_dim - p.dim)
-    verts = tuple(v + pad for v in p.vertices)
-    facets = tuple(Facet(f.normal + pad, f.offset, f.incident) for f in p.facets)
-    basis = tuple(row + pad for row in p.affine_basis)
-    return Polytope(target_dim, verts, facets, p.affine_dim, basis)
+    pad = (0,) * (target_dim - p.dim)
+    nums, den = p.int_vertices
+    return Polytope(
+        target_dim, (tuple(v + pad for v in nums), den),
+        tuple((a + pad, bn, bd) for a, bn, bd in p.int_facets),
+        p.incidences, p.affine_dim, tuple(row + pad for row in p.int_basis),
+    )
 
 
 def apply_linear(p: Polytope, psi: Sequence[Sequence[object]]) -> Polytope:
@@ -439,7 +435,7 @@ def contains_point(p: Polytope, x: Sequence[Fraction]) -> bool:
         # n+1 rows in R^n always have rank n, so only a flat body needs this;
         # x minus the first vertex X0 / D, scaled by D xd
         nums, den = p.int_vertices
-        rows = [integerize(row) for row in p.affine_basis]
+        rows = list(p.int_basis)
         rows.append(tuple(den * a - xd * b for a, b in zip(xn, nums[0])))
         if kernels.int_rank(rows) != p.affine_dim:
             return False
@@ -458,12 +454,10 @@ def translate_of(p: Polytope, q: Polytope) -> Vector | None:
 
 
 def facet_centroid(p: Polytope, index: int) -> Vector:
-    f = p.facets[index]
-    pts = [p.vertices[i] for i in f.incident]
-    acc = pts[0]
-    for v in pts[1:]:
-        acc = add(acc, v)
-    return scale(Fraction(1, len(pts)), acc)
+    nums, den = p.int_vertices
+    inc = p.incidences[index]
+    return tuple(Fraction(sum(nums[i][j] for i in inc), len(inc) * den)
+                 for j in range(p.dim))
 
 
 def _triangulate(p: Polytope) -> list[tuple[Vector, ...]]:

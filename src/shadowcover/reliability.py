@@ -226,7 +226,7 @@ def parallelotope_check(p: Polytope) -> bool:
     n = p.dim
     if len(p.facets) != 2 * n:
         return False
-    normals = {tuple(integerize(f.normal)): i for i, f in enumerate(p.facets)}
+    normals = {a: i for i, (a, _, _) in enumerate(p.int_facets)}
     if len(normals) != 2 * n:
         return False
     paired = set()

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,14 @@ def test_validate_malformed_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "input error" in err
+
+
+def test_validate_boolean_dim_exits_2(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": true, "vertices": [["0"], ["1"]]}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert "'dim' must be a positive integer" in err
 
 
 def test_validate_missing_file_exits_2(capsys):
@@ -303,3 +312,60 @@ def test_shadow_cover_bound_zero_exits_without_hanging(cube_file, big_cube_file)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "positive integer" in proc.stderr.strip().splitlines()[-1]
+
+
+def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
+    """stdout and exit codes of every report command with --format json, on
+    corpus bodies and a flat hexagon in R^3, pinned by a digest recorded
+    while polytopes still stored their Fraction vertices and facets."""
+    import hashlib
+
+    from shadowcover.polytope import apply_linear, embed, scale_polytope, translate
+
+    flat = translate(
+        apply_linear(embed(named("hexagon"), 3), [[1, 0, 0], [0, 1, 0], [1, 2, 1]]),
+        [0, 0, Fraction(1, 2)],
+    )
+    bodies = {
+        "pyramid": named("square-pyramid"),
+        "octahedron": named("octahedron"),
+        "cube": named("cube-3"),
+        "big": scale_polytope(named("cube-3"), 2),
+        "prism": named("hexagonal-prism"),
+        "flat": flat,
+        "flat2": scale_polytope(flat, 2),
+    }
+    monkeypatch.chdir(tmp_path)
+    for name, body in bodies.items():
+        write_json(f"{name}.json", polytope_to_doc(body))
+    runs = [
+        ["validate", "pyramid.json"],
+        ["validate", "flat.json"],
+        ["decompose", "cube.json"],
+        ["decompose", "prism.json", "--d", "2"],
+        ["decompose", "flat.json", "--affine"],
+        ["contain", "octahedron.json", "cube.json"],
+        ["contain", "cube.json", "octahedron.json"],
+        ["contain", "big.json", "cube.json"],
+        ["contain", "flat.json", "flat2.json"],
+        ["contain", "cube.json", "flat2.json"],
+        ["shadow-cover", "cube.json", "big.json", "--d", "2", "--seed", "5",
+         "--trials", "30"],
+        ["shadow-cover", "big.json", "octahedron.json", "--d", "1", "--seed", "3",
+         "--trials", "30"],
+        ["shadow-cover", "flat.json", "flat2.json", "--d", "2", "--seed", "1",
+         "--trials", "20"],
+        ["reliability", "pyramid.json", "--d", "1"],
+        ["counterexample", "octahedron.json", "--d", "2", "--seed", "7",
+         "--trials", "60", "--verify-trials", "80"],
+    ]
+    text = []
+    for argv in runs:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        text.append(f"{' '.join(argv)} -> {code}\n{out}")
+    assert [t.split("\n", 1)[0].rsplit(" ", 1)[1] for t in text] == [
+        "0", "0", "0", "0", "0", "1", "1", "1", "0", "1", "0", "1", "0", "1", "0",
+    ]
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "88b4dc4ecdeb75347d8c031736842051599affb38a56c2f43e5546339e9cea9b"
+    )

@@ -113,6 +113,19 @@ def test_lower_dimensional_cover():
     assert not v2.fits and v2.hull_mismatch
 
 
+def test_flat_cover_fit_needs_in_plane_translation():
+    """L is a rectangle on the plane z = 1 + x + 2y and K a segment on the
+    same plane far from it, so the LP's point in L's affine coordinates is
+    not zero and its lift must follow L's basis rows in order."""
+    l = hull_from_vertices([(0, 0, 1), (4, 0, 5), (0, 1, 3), (4, 1, 7)])
+    k = hull_from_vertices([(10, 3, 17), (12, 3, 19)])
+    v = translate_fit(k, l)
+    assert v.fits and fits_exactly(k, l, v.witness)
+    assert not fits_exactly(k, l, (0, 0, 0))
+    alpha, w = max_scale(k, l)
+    assert alpha == 2 and fits_exactly(scale_polytope(k, 2), l, w)
+
+
 def test_max_scale_identity(cube3):
     alpha, _ = max_scale(cube3, cube3)
     assert alpha == 1

@@ -4,20 +4,22 @@
 integers; ``tests/oracles.py`` keeps the Fraction substitutions they
 replaced.  Bodies of every affine dimension are drawn, points and bodies
 included, and moved by ``translate`` and ``scale_polytope`` so that the
-integers those hand over are exercised as well as the hull's.
+integers those compute are exercised as well as the hull's.
 """
 
-from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import frac_contains_point, frac_feasible, frac_fits_exactly
-from shadowcover import lp
-from shadowcover.containment import fits_exactly
-from shadowcover.linalg import dot, sub, vector
+from shadowcover import containment, lp
+from shadowcover.containment import SubspaceSampler, fits_exactly
+from shadowcover.corpus import named
+from shadowcover.linalg import dot, integerize, sub, to_ints, vector
 from shadowcover.polytope import (
     contains_point,
+    embed,
     hull_from_vertices,
     project,
     scale_polytope,
@@ -26,6 +28,7 @@ from shadowcover.polytope import (
 )
 
 F = Fraction
+VIEWS = {"vertices", "facets", "affine_basis"}
 small_q = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 positive_q = st.builds(F, st.integers(1, 5), st.integers(1, 4))
 
@@ -126,10 +129,12 @@ def test_contains_point_matches_fraction_oracle(case):
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_handed_over_integers_match_derived(data):
-    """The integers a hull, a projection, translate and scale_polytope hand
-    over equal the ones a body derives from its Fraction vertices and
-    facets, and a moved body is the hull of its vertices."""
+def test_stored_integers_match_views(data):
+    """The integers that hulls, projections, translate, scale_polytope and
+    embed store equal the ones derived from the Fraction views: the
+    vertices over their least common denominator, which is then coprime to
+    the numerators, and each facet's integer normal and offset in lowest
+    terms.  Every such body is the hull of its vertices."""
     n = data.draw(st.integers(1, 4))
     p = data.draw(bodies(n))
     if n > 1 and data.draw(st.booleans()):
@@ -143,16 +148,47 @@ def test_handed_over_integers_match_derived(data):
             xi = None
         if xi is not None:
             p = moved(data.draw, project(p, xi))
-    assert hull_from_vertices(p.vertices) == p
-    derived = replace(p)
-    assert "int_facets" in p.__dict__ and "int_facets" not in derived.__dict__
-    assert p.int_facets == derived.int_facets
-    assert [(tuple(map(F, a)), F(bn, bd)) for a, bn, bd in p.int_facets] == [
-        (f.normal, f.offset) for f in p.facets
-    ]
+    if data.draw(st.booleans()):
+        p = moved(data.draw, embed(p, p.dim + data.draw(st.integers(1, 2))))
     nums, den = p.int_vertices
-    assert den > 0
-    assert [tuple(F(x, den) for x in v) for v in nums] == list(p.vertices)
+    assert den > 0 and gcd(den, *[x for v in nums for x in v]) == 1
+    assert to_ints(p.vertices) == (nums, den)
+    assert len(p.int_facets) == len(p.facets) == len(p.incidences)
+    for (a, bn, bd), f, inc in zip(p.int_facets, p.facets, p.incidences):
+        assert all(x.denominator == 1 for x in f.normal)
+        assert a == integerize(f.normal) == tuple(f.normal)
+        assert (bn, bd) == (f.offset.numerator, f.offset.denominator)
+        assert inc == f.incident
+    assert p.int_basis == tuple(integerize(r) for r in p.affine_basis)
+    assert hull_from_vertices(p.vertices) == p
+
+
+def test_fits_on_full_dimensional_shadows_build_no_views(monkeypatch):
+    """translate_fit, fitting or not, and max_scale on full-dimensional
+    shadows read only the integer form: no vertices, facets or affine_basis
+    view is built on K, on L or on the scaled K that max_scale re-checks."""
+    scaled = []
+
+    def recording_scale(k, c):
+        scaled.append(scale_polytope(k, c))
+        return scaled[-1]
+
+    monkeypatch.setattr(containment, "scale_polytope", recording_scale)
+    cube, octahedron = named("cube-3"), named("octahedron")
+    big = scale_polytope(cube, 3)
+    stream = SubspaceSampler(4, 2).stream(3)
+    outcomes = set()
+    for _ in range(10):
+        xi = next(stream)
+        k, l, small = project(octahedron, xi), project(big, xi), project(cube, xi)
+        shadows = (k, l, small)
+        assert all(s.is_full_dimensional for s in shadows)
+        outcomes.add(containment.translate_fit(k, l).fits)
+        outcomes.add(containment.translate_fit(l, small).fits)
+        containment.max_scale(k, l)
+        for body in shadows + tuple(scaled):
+            assert not VIEWS & vars(body).keys()
+    assert outcomes == {True, False} and len(scaled) == 10
 
 
 lp_entries = st.one_of(st.integers(-5, 5), small_q)

@@ -72,6 +72,16 @@ def test_polytope_doc_rejects(doc):
         polytope_from_doc(doc)
 
 
+def test_polytope_doc_rejects_boolean_dim():
+    with pytest.raises(FormatError, match="polytope 'dim' must be a positive integer"):
+        polytope_from_doc({"dim": True, "vertices": [["0"], ["1"]]})
+
+
+def test_directions_doc_rejects_boolean_dim():
+    with pytest.raises(FormatError, match="directions 'dim' must be a positive integer"):
+        directions_from_doc({"dim": True, "directions": [[1], [-1]]})
+
+
 def test_directions_round_trip(q_directions):
     doc = directions_to_doc(q_directions)
     assert directions_from_doc(doc) == q_directions
