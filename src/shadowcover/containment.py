@@ -23,10 +23,11 @@ from typing import Iterator, Sequence
 
 from .kernels import int_dot, int_rank
 from .linalg import (
+    ZERO,
     Vector,
     add,
-    inverse,
-    matrix,
+    coordinate_map,
+    dot,
     matvec,
     sub,
     to_ints,
@@ -38,15 +39,13 @@ from .lp import Infeasible, LPProblem, Optimal, Unbounded, solve_lp
 from .polytope import (
     Polytope,
     Subspace,
-    block_hulls,
     blocks_of,
     contains_point,
     direct_sum_basis,
+    int_image,
     project,
     scale_polytope,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,11 @@ def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
         _require(fits_exactly(k, l, v), "witness translation")
         return ContainmentVerdict(True, witness=v)
     normals, lift = _frame(l)
-    # b - h_K(a) for each facet a.x <= bn / bd, with h_K(a) = H / D
+    # row . v <= b - h_K(a) for each facet a.x <= bn / bd, with h_K(a) = H / D:
+    # (D bd row) . v <= bn D - H bd over D bd
     den = k.int_vertices[1]
     cons = tuple(
-        (row, Fraction(bn * den - k.int_support(a) * bd, bd * den))
+        (tuple(den * bd * x for x in row), bn * den - k.int_support(a) * bd, bd * den)
         for row, (a, bn, bd) in zip(normals, l.int_facets)
     )
     outcome = solve_lp(LPProblem(zero_vector(l.affine_dim), cons))
@@ -228,9 +228,11 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     normals, lift = _frame(l)
     d = l.affine_dim
     objective = vector([1] + [0] * d)
+    # h_K(a) alpha + row . v <= b for each facet a.x <= bn / bd, with
+    # h_K(a) = H / D: (H bd, D bd row) . (alpha, v) <= bn D over D bd
     den = k.int_vertices[1]
     cons = tuple(
-        ((Fraction(k.int_support(a), den),) + row, Fraction(bn, bd))
+        ((k.int_support(a) * bd, *(den * bd * x for x in row)), bn * den, bd * den)
         for row, (a, bn, bd) in zip(normals, l.int_facets)
     )
     nonneg = (True,) + (False,) * d
@@ -294,7 +296,7 @@ class SubspaceSampler:
                 for _ in range(self.d)
             ]
             try:
-                xi = Subspace(ambient_dim, matrix(rows))
+                xi = Subspace(ambient_dim, tuple(rows))
             except ValueError:  # dependent rows: rejected
                 continue
             yield xi
@@ -366,30 +368,31 @@ def product_containment(
     The component subspaces must decompose the ambient space.  With the
     component bases B_i stacked as the rows of M, psi = (M^T)^-1 sends C to
     the product of the factors C_i, so K fits in C exactly when block i of
-    psi K fits in C_i for every i.  The first failing component's verdict is
-    returned with its index; otherwise the block witnesses, stacked as w,
-    give the witness v = M^T w, re-checked by testing every block of
-    psi (x + v), x a vertex of K, against its factor.  For mutually
-    orthogonal components, block i of psi x is G_i^-1 B_i x with
-    G_i = B_i B_i^T: the coordinates of x's shadow on component i.
+    psi K fits in C_i for every i; psi = (M M^T)^-1 M = A / q is the
+    coordinate map of the square M, and block i of psi K is K's image under
+    A's row block i.  The first failing component's verdict is returned with
+    its index; otherwise the block witnesses, stacked as w, give the witness
+    v = M^T w, re-checked by testing every block of psi (x + v), x a vertex
+    of K, against its factor.  For mutually orthogonal components, block i
+    of psi x is G_i^-1 B_i x with G_i = B_i B_i^T: the coordinates of x's
+    shadow on component i.
     """
     stacked = direct_sum_basis(parts)
     if parts[0][0].ambient_dim != k.dim or len(stacked) != k.dim:
         raise ValueError("components do not form a direct sum of K's space")
 
-    mt = transpose(stacked)
-    psi = inverse(mt)
-    images = [matvec(psi, x) for x in k.vertices]
+    a, q = coordinate_map(stacked)
     dims = [sp.dim for sp, _ in parts]
     w: list[Fraction] = []
-    for idx, (block, (_, factor)) in enumerate(zip(block_hulls(images, dims), parts)):
-        verdict = translate_fit(block, factor)
+    for idx, (rows, (_, factor)) in enumerate(zip(blocks_of(a, dims), parts)):
+        verdict = translate_fit(int_image(rows, q, k.int_vertices), factor)
         if not verdict.fits:
             return replace(verdict, component=idx)
         w.extend(verdict.witness)
-    v = matvec(mt, w)
+    v = matvec(transpose(stacked), w)
     for x in k.vertices:
-        blocks = blocks_of(matvec(psi, add(x, v)), dims)
+        y = add(x, v)
+        blocks = blocks_of(tuple(dot(row, y) / q for row in a), dims)
         _require(
             all(contains_point(f, b) for (_, f), b in zip(parts, blocks)),
             "witness translation",

@@ -13,21 +13,22 @@ circuits read off a single reduced echelon form — the supports of a
 nullspace basis — and close under union-find; the test suite cross-checks
 this against exhaustive circuit enumeration.
 
-Factor extraction maps the body's vertices by M, the stacked component
-bases, which turns the components into coordinate blocks; each factor is the
-hull of one block.  The split is verified exactly: the mapped vertices must
-be the vertices of the factors' product.
+Factor extraction maps the body's integer vertex numerators by M, the
+stacked component bases, which turns the components into coordinate blocks;
+each factor is the image under one row block of M.  The split is verified
+exactly: the mapped vertices must be the vertices of the factors' product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .kernels import int_echelon, int_nullspace, int_rank
-from .linalg import integerize, inverse, matrix, matvec, transpose
-from .polytope import Polytope, Subspace, block_hulls, blocks_of, product_vertices
+from .kernels import int_dot, int_echelon, int_nullspace, int_rank
+from .linalg import coordinate_map, integerize, matrix, to_ints
+from .polytope import Polytope, Subspace, blocks_of, int_image, product_vertices
 from .reliability import DirectionSet, facet_direction_set, is_reliable
 
 
@@ -43,7 +44,6 @@ class Component:
 class DecompositionReport:
     directions: DirectionSet
     components: tuple[Component, ...]
-    factors: tuple[tuple[Subspace, Polytope], ...] | None = None
 
     @property
     def max_component_dim(self) -> int:
@@ -143,26 +143,36 @@ def extract_factors(
 
     Returns (subspace, factor) pairs with each factor given in its
     subspace's coordinates.  With the component bases as the rows of M,
-    factor i is the hull of block i of the images M v of P's vertices.  The
-    factor subspaces are the row blocks of (M^-1)^T, so for non-orthogonal
-    components they are not the components themselves.  Before returning,
-    the images M v are checked to be exactly the vertices of the factors'
-    product (else RuntimeError), so direct_sum_assemble(result) is P.
+    factor i is the image of P under row block i of M.  The factor subspaces
+    are the row blocks of (M^-1)^T, which for the square M is the coordinate
+    map (M M^T)^-1 M; for non-orthogonal components they are not the
+    components themselves.  Before returning, the images M v of P's vertices
+    are checked to be exactly the vertices of the factors' product (else
+    RuntimeError), so direct_sum_assemble(result) is P.
     """
     n = p.dim
-    m = matrix(row for sp in components for row in sp.basis)
-    if len(m) != n:
+    basis = [row for sp in components for row in sp.basis]
+    if len(basis) != n:
         raise ValueError("component dimensions must sum to the ambient dimension")
-    m_inv_t = transpose(inverse(m))
-    images = [matvec(m, v) for v in p.vertices]
+    m_inv_t, r = coordinate_map(basis)
+    m, q = to_ints(basis)
     dims = [sp.dim for sp in components]
-    factors = list(block_hulls(images, dims))
+    factors = [int_image(rows, q, p.int_vertices) for rows in blocks_of(m, dims)]
 
-    # counts first: a wrong split is refused before the product is enumerated
-    count = prod(len(f.vertices) for f in factors)
-    if count != len(images) or set(product_vertices(factors)) != set(images):
+    # counts first: a wrong split is refused before the product is enumerated;
+    # the images M X / (q D) and the product's vertices Y / E then compare as
+    # sets of E M X and q D Y
+    nums, den = p.int_vertices
+    if prod(len(f.int_vertices[0]) for f in factors) != len(nums):
         raise RuntimeError("factor reconstruction does not match the body")
-    return [(Subspace(n, b), f) for b, f in zip(blocks_of(m_inv_t, dims), factors)]
+    points, e = product_vertices(factors)
+    images = {tuple(e * int_dot(row, v) for row in m) for v in nums}
+    if images != {tuple(q * den * y for y in v) for v in points}:
+        raise RuntimeError("factor reconstruction does not match the body")
+    return [
+        (Subspace(n, tuple(tuple(Fraction(x, r) for x in row) for row in b)), f)
+        for b, f in zip(blocks_of(m_inv_t, dims), factors)
+    ]
 
 
 @dataclass(frozen=True)

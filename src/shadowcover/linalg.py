@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernels import _eliminate, int_nullspace, int_rank
+from .kernels import _eliminate, int_dot, int_nullspace, int_rank
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -44,14 +44,18 @@ def matrix(rows: Iterable[Iterable[object]]) -> Matrix:
     return out
 
 
+ZERO = Fraction(0)
+
+
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """u . v, skipping the zero entries of u (most of an LP objective)."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a), ZERO)
 
 
 def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -136,31 +140,6 @@ def nullspace(m: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return [vector(b) for b in basis]
 
 
-def inverse(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Exact inverse of a square nonsingular matrix.
-
-    One fraction-free elimination of [D M | I], D the common denominator of
-    M's entries, turns it into [P | X] with P diagonal, so that row r of
-    M^-1 is D X_r / P_rr.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse expects a square matrix")
-    den = lcm(1, *[x.denominator for row in m for x in row])
-    aug = [
-        [x.numerator * (den // x.denominator) for x in row]
-        + [int(i == j) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    rows, pivots = _eliminate(aug, True)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(
-        tuple(Fraction(den * x, row[r]) for x in row[n:])
-        for r, row in enumerate(rows)
-    )
-
-
 def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
     """The map x -> (B B^T)^-1 B x of coordinates in the row space of B.
 
@@ -170,13 +149,12 @@ def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]
     (B' B'^T)^-1 B' = (B B^T)^-1 B / D.  Rows of B must be independent, else
     B B^T is singular and ValueError is raised.  Composing with the lift
     c -> B^T c is the identity on coordinates; lifting then mapping is the
-    identity on the row space.
+    identity on the row space.  For a square B the map is (B^T)^-1, the
+    library's one exact inverse.
     """
-    rows = matrix(basis)
-    k = len(rows)
-    den = lcm(1, *[x.denominator for row in rows for x in row])
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    aug = [[sum(x * y for x, y in zip(r, s)) for s in b] + r for r in b]
+    b, den = to_ints(basis)
+    k = len(b)
+    aug = [[int_dot(r, s) for s in b] + list(r) for r in b]
     m, pivots = _eliminate(aug, True)
     if pivots[:k] != list(range(k)):
         raise ValueError("singular matrix")

@@ -1,10 +1,11 @@
 """Exact rational linear programming, two-phase simplex with Bland's rule.
 
 Maximisation over constraints a.x <= b with optionally sign-restricted
-variables.  Problem entries are integers or ``Fraction``s and outcomes are
-``Fraction``s; the tableau in between is fraction-free, each row integer
-numerators over one positive row denominator with their common gcd divided
-out after every update (in the line of Edmonds 1967 and Bareiss 1968).  It
+variables.  Constraint rows are integers (an, bn, den) standing for
+a = an / den and b = bn / den; the objective and outcomes are ``Fraction``s.
+The tableau is fraction-free, each row integer numerators over one positive
+row denominator with their common gcd divided out after every update (in
+the line of Edmonds 1967 and Bareiss 1968).  It
 holds exactly the rationals of the ``Fraction`` tableau at every step, so
 its pivots, outcomes and witnesses are identical to those of the rational
 simplex.  Its only columns are the structural ones, one slack per
@@ -30,28 +31,27 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .kernels import int_dot
-from .linalg import Vector, dot, to_ints, vector
-
-ZERO = Fraction(0)
+from .linalg import ZERO, Vector, dot, to_ints, vector
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """maximize objective . x  subject to  a . x <= b for (a, b) pairs.
+    """maximize objective . x  subject to  a . x <= b, one row per constraint.
 
-    Entries are integers or ``Fraction``s.  ``nonneg[j]`` restricts
+    A row (an, bn, den) of integers, den > 0, is a = an / den, b = bn / den;
+    ``lp_problem`` builds rows from rational pairs.  ``nonneg[j]`` restricts
     variable j to x_j >= 0; by default all variables are free.
     """
 
     objective: Vector
-    constraints: tuple[tuple[Vector, Fraction], ...]
+    constraints: tuple[tuple[tuple[int, ...], int, int], ...]
     nonneg: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        for a, _ in self.constraints:
-            if len(a) != n:
-                raise ValueError("constraint dimension mismatch")
+        for an, _, den in self.constraints:
+            if len(an) != n or den <= 0:
+                raise ValueError("constraint row of wrong length or with den <= 0")
         if self.nonneg and len(self.nonneg) != n:
             raise ValueError("nonneg flags dimension mismatch")
         if not self.nonneg:
@@ -78,32 +78,31 @@ LPOutcome = Optimal | Infeasible | Unbounded
 
 
 def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
-    """Convenience constructor coercing entries to exact rationals."""
-    cons = tuple((vector(a), Fraction(b)) for a, b in constraints)
+    """The problem over rational (a, b) pairs, each row scaled to integers."""
+    rows = [to_ints(((*vector(a), Fraction(b)),)) for a, b in constraints]
+    cons = tuple((row[:-1], row[-1], den) for (row,), den in rows)
     return LPProblem(vector(objective), cons, tuple(bool(f) for f in nonneg))
 
 
 def _feasible(p: LPProblem, x: Vector, ray: bool) -> bool:
     """Signs and a.x <= b hold for a point; for a ray, a.x <= 0 in place of b.
 
-    Computed in integers: x = xn / xd once, and each row (a, b) as integers
-    (an, bn) over its own denominator, so a.x <= b is an.xn <= bn xd.
+    Computed in integers: with x = xn / xd, a row (an, bn, den) holds when
+    an.xn <= bn xd.
     """
     if len(x) != len(p.objective):
         return False
     if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
         return False
     (xn,), xd = to_ints((x,))
-    for a, b in p.constraints:
-        (row,), _ = to_ints(((*a, b),))
-        # zip stops at xn's end, so row[-1] (bn) stays out of the dot product
-        if int_dot(row, xn) > (0 if ray else row[-1] * xd):
-            return False
-    return True
+    return all(
+        int_dot(an, xn) <= (0 if ray else bn * xd) for an, bn, _ in p.constraints
+    )
 
 
 def verify_outcome(p: LPProblem, outcome: LPOutcome) -> bool:
-    """Exact re-substitution check of an outcome's witness."""
+    """Exact re-substitution check of an outcome's witness; the constraint
+    rows and Farkas sums are checked in integers."""
     if isinstance(outcome, Optimal):
         x = outcome.point
         return _feasible(p, x, False) and dot(p.objective, x) == outcome.value
@@ -114,12 +113,16 @@ def verify_outcome(p: LPProblem, outcome: LPOutcome) -> bool:
         lam = outcome.multipliers
         if len(lam) != len(p.constraints) or any(l < 0 for l in lam):
             return False
-        for j in range(len(p.objective)):
-            combo = sum((l * a[j] for l, (a, _) in zip(lam, p.constraints)), ZERO)
-            if combo < 0 or (combo and not p.nonneg[j]):
+        # for lam = ms / M and E = lcm(den_i), the sums of w_i an_i and w_i bn_i
+        # with w_i = ms_i E / den_i are M E times those of lam_i a_i, lam_i b_i
+        (ms,), _ = to_ints((lam,))
+        e = lcm(1, *[den for _, _, den in p.constraints])
+        w = [m * (e // den) for m, (_, _, den) in zip(ms, p.constraints)]
+        for j, flag in enumerate(p.nonneg):
+            combo = int_dot(w, [an[j] for an, _, _ in p.constraints])
+            if combo < 0 or (combo and not flag):
                 return False
-        total = sum((l * b for l, (_, b) in zip(lam, p.constraints)), ZERO)
-        return total < 0
+        return int_dot(w, [bn for _, bn, _ in p.constraints]) < 0
     return False
 
 
@@ -173,10 +176,9 @@ class _Tableau:
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
-        for i, (a, b) in enumerate(p.constraints):
-            # (a, b) as integers (an, bn) over one denominator, signed so the
-            # right-hand side is nonnegative; the slack's entry is s * den
-            ((*an, bn),), den = to_ints(((*a, b),))
+        for i, (an, bn, den) in enumerate(p.constraints):
+            # the row signed so the right-hand side is nonnegative; the
+            # slack's entry is s * den
             s = 1 if bn >= 0 else -1
             row = [s * sg * an[j] for j, sg in self.cols] + [0] * (m + 1)
             row[self.ny + i] = s * den

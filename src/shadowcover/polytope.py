@@ -9,8 +9,9 @@ in the hull's direction space.  Support values, membership tests, shadows,
 ``translate`` and ``scale_polytope`` compute on the integers alone.
 
 One integer hull core serves ``hull_from_vertices``, which scales its points
-to integers first, and ``project``, which maps the numerators through the
-subspace's integer coordinate map.  Facets come from
+to integers first, and ``int_image``, which maps vertex numerators by an
+integer matrix: projections, linear images, direct sums and the factor
+blocks of a split all go through it.  Facets come from
 ``kernels.hull_facets`` inside the affine hull: an interval's two ends in
 dimension 1, Andrew's monotone chain in dimension 2, and a brute-force scan
 of point subsets (cost C(V, d) * V) from dimension 3 on, which is exact and
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import kernels, linalg
 from .kernels import int_dot
@@ -325,10 +326,19 @@ def project(p: Polytope, xi: Subspace) -> Polytope:
     """
     if xi.ambient_dim != p.dim:
         raise ValueError("subspace ambient dimension mismatch")
-    a, q = xi.coord_map
-    nums, den = p.int_vertices
-    images = [tuple(sum(r * x for r, x in zip(row, v)) for row in a) for v in nums]
-    return _int_hull(xi.dim, images, q * den)
+    return int_image(*xi.coord_map, p.int_vertices)
+
+
+def int_image(a: IntMatrix, q: int, vertices: tuple[IntMatrix, int]) -> Polytope:
+    """Hull of the image of the points X / D under the linear map A / q.
+
+    A is an integer matrix whose rows act on points, q > 0 and vertices is
+    (X, D), integer numerators over D > 0: the image is the hull of A X over
+    q D.  Every linear image of a body is built here.
+    """
+    nums, den = vertices
+    images = [tuple(int_dot(row, v) for row in a) for v in nums]
+    return _int_hull(len(a), images, q * den)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -358,9 +368,13 @@ def direct_sum_basis(parts: Sequence[tuple[Subspace, Polytope]]) -> Matrix:
     return tuple(stacked)
 
 
-def product_vertices(factors: Sequence[Polytope]) -> list[Vector]:
-    """Vertices of the product of the factors: one vertex of each, joined."""
-    return [tuple(chain(*vs)) for vs in product(*(f.vertices for f in factors))]
+def product_vertices(factors: Sequence[Polytope]) -> tuple[IntMatrix, int]:
+    """Vertices of the product of the factors, one vertex of each joined, as
+    integer numerators over one denominator."""
+    den = lcm(*[f.int_vertices[1] for f in factors])
+    blocks = [[tuple(x * (den // d) for x in v) for v in nums]
+              for nums, d in (f.int_vertices for f in factors)]
+    return tuple(tuple(chain(*vs)) for vs in product(*blocks)), den
 
 
 def blocks_of(x: Sequence, dims: Sequence[int]) -> list:
@@ -368,19 +382,13 @@ def blocks_of(x: Sequence, dims: Sequence[int]) -> list:
     return [x[end - d : end] for d, end in zip(dims, accumulate(dims))]
 
 
-def block_hulls(points: Sequence[Vector], dims: Sequence[int]) -> Iterator[Polytope]:
-    """Hulls of the points' consecutive coordinate blocks, one at a time."""
-    return map(hull_from_vertices, zip(*(blocks_of(p, dims) for p in points)))
-
-
 def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
     """Direct Minkowski sum of factors living in complementary subspaces.
 
-    One hull of M^T applied to the product's vertices; see direct_sum_basis.
+    The image of the factors' product under M^T; see direct_sum_basis.
     """
-    mt = transpose(direct_sum_basis(parts))
-    points = product_vertices([f for _, f in parts])
-    return hull_from_vertices([matvec(mt, c) for c in points])
+    mt = to_ints(transpose(direct_sum_basis(parts)))
+    return int_image(*mt, product_vertices([f for _, f in parts]))
 
 
 def direct_sum(p: Polytope, q: Polytope, xi: Subspace, eta: Subspace) -> Polytope:
@@ -409,7 +417,7 @@ def apply_linear(p: Polytope, psi: Sequence[Sequence[object]]) -> Polytope:
         raise ValueError("transformation must be square of the ambient dimension")
     if rank(m) != p.dim:
         raise ValueError("transformation is singular")
-    return hull_from_vertices([matvec(m, v) for v in p.vertices])
+    return int_image(*to_ints(m), p.int_vertices)
 
 
 def is_centrally_symmetric(p: Polytope) -> Vector | None:
@@ -498,8 +506,7 @@ def facet_area_vectors(p: Polytope) -> list[Vector]:
         for s in _triangulate(face):
             rows = [sub(v, s[0]) for v in s[1:]]
             # cross(D r_1, ..., D r_{n-1}) = D^(n-1) cross(r_1, ..., r_{n-1})
-            den = lcm(*(x.denominator for r in rows for x in r))
-            ints = [[int(x * den) for x in r] for r in rows]
+            ints, den = to_ints(rows)
             c = vector(kernels.cross_rows(ints, n))
             if dot(c, f.normal) < 0:
                 c = neg(c)

@@ -21,6 +21,14 @@ def sy_rank(rows) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
 
 
+def sy_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a nonsingular square matrix, by sympy."""
+    m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).inv()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows)
+    )
+
+
 def sy_nullspace(rows) -> list[tuple[Fraction, ...]]:
     m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
     out = []
@@ -99,14 +107,28 @@ def frac_fits_exactly(k, l, v) -> bool:
     )
 
 
-def frac_feasible(p, x, ray: bool) -> bool:
+def frac_feasible(rows, nonneg, x, ray: bool) -> bool:
     """An LP point (or, with ray, a recession ray) satisfies the signs and
-    every constraint a.x <= b (a.x <= 0 for a ray), in Fraction arithmetic."""
-    if len(x) != len(p.objective):
+    every constraint a.x <= b of the rational (a, b) rows (a.x <= 0 for a
+    ray), in Fraction arithmetic."""
+    if len(x) != len(nonneg):
         return False
-    if any(flag and xi < 0 for flag, xi in zip(p.nonneg, x)):
+    if any(flag and xi < 0 for flag, xi in zip(nonneg, x)):
         return False
-    return all(_fdot(a, x) <= (0 if ray else b) for a, b in p.constraints)
+    return all(_fdot(a, x) <= (0 if ray else Fraction(b)) for a, b in rows)
+
+
+def frac_farkas(rows, nonneg, lam) -> bool:
+    """Multipliers lam >= 0, one per rational (a, b) row, with sum(lam_i a_i)
+    zero on free variables and >= 0 on sign-restricted ones, and
+    sum(lam_i b_i) < 0, in Fraction arithmetic."""
+    if len(lam) != len(rows) or any(l < 0 for l in lam):
+        return False
+    for j, flag in enumerate(nonneg):
+        combo = sum((l * Fraction(a[j]) for l, (a, _) in zip(lam, rows)), Fraction(0))
+        if combo < 0 or (combo and not flag):
+            return False
+    return sum((l * Fraction(b) for l, (_, b) in zip(lam, rows)), Fraction(0)) < 0
 
 
 def grid_rationals(lo: Fraction, hi: Fraction, steps: int):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sy_inverse
 from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
 from shadowcover.decomposability import (
     cross_check_2iff2,
@@ -12,7 +13,7 @@ from shadowcover.decomposability import (
     normal_components,
 )
 from shadowcover.kernels import circuits, int_rank
-from shadowcover.linalg import integerize, inverse, matrix, transpose
+from shadowcover.linalg import integerize, matrix, transpose
 from shadowcover.polytope import (
     apply_linear,
     direct_sum_assemble,
@@ -187,7 +188,7 @@ def _pinned_direct_sum_case(seed):
         if int_rank(rows) == n:
             break
     # row block i of (N^T)^-1 annihilates every factor subspace but the i-th
-    dual = inverse(transpose(matrix(rows)))
+    dual = sy_inverse(transpose(matrix(rows)))
     parts, components = [], []
     start = 0
     for size in sizes:

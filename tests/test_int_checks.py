@@ -214,13 +214,12 @@ def lp_cases(draw):
             b = dot(vector(a), x) + draw(st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
         cons.append((tuple(a), b))
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=nv, max_size=nv)))
-    p = lp.LPProblem(vector([0] * nv), tuple(cons), nonneg)
-    return p, x
+    return lp.lp_problem([0] * nv, cons, nonneg), cons, x
 
 
 @given(lp_cases())
 @settings(max_examples=400, deadline=None)
 def test_lp_feasible_matches_fraction_oracle(case):
-    p, x = case
+    p, cons, x = case
     for ray in (False, True):
-        assert lp._feasible(p, x, ray) == frac_feasible(p, x, ray)
+        assert lp._feasible(p, x, ray) == frac_feasible(cons, p.nonneg, x, ray)

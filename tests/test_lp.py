@@ -2,12 +2,14 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_rationals, lp_optimum_by_enumeration
+from oracles import frac_farkas, grid_rationals, lp_optimum_by_enumeration
 from shadowcover.lp import (
     Infeasible,
+    LPProblem,
     Optimal,
     Unbounded,
     lp_problem,
@@ -132,15 +134,17 @@ def boxed_lps(draw):
         cons.append((tuple(e), 6))
         cons.append((tuple(-x for x in e), 6))
     objective = tuple(draw(small) for _ in range(n))
-    return lp_problem(objective, cons)
+    return objective, cons
 
 
 @given(boxed_lps())
 @settings(max_examples=100, deadline=None)
-def test_solver_agrees_with_enumeration_oracle(p):
+def test_solver_agrees_with_enumeration_oracle(case):
+    objective, cons = case
+    p = lp_problem(objective, cons)
     out = solve_lp(p)
     assert verify_outcome(p, out)
-    oracle = lp_optimum_by_enumeration(p.objective, p.constraints)
+    oracle = lp_optimum_by_enumeration(objective, cons)
     if isinstance(out, Optimal):
         assert oracle == out.value
     else:
@@ -150,8 +154,53 @@ def test_solver_agrees_with_enumeration_oracle(p):
 
 @given(boxed_lps())
 @settings(max_examples=40, deadline=None)
-def test_determinism(p):
+def test_determinism(case):
+    p = lp_problem(*case)
     assert solve_lp(p) == solve_lp(p)
+
+
+def test_problem_rejects_malformed_rows():
+    for row in [((1,), 1, 0), ((1,), 1, -2), ((1, 2), 1, 1), ((), 1, 1)]:
+        with pytest.raises(ValueError):
+            LPProblem((F(0),), (row,))
+
+
+small_q = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def infeasible_lps(draw):
+    """Rational rows around a contradictory pair a.x <= b, -a.x <= -b - c
+    with c > 0, and some variables sign-restricted."""
+    n = draw(st.integers(0, 3))
+    entry = st.one_of(small, small_q)
+    rows = [
+        (tuple(draw(entry) for _ in range(n)), draw(entry))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    a, b = tuple(draw(entry) for _ in range(n)), draw(entry)
+    c = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))
+    rows.insert(draw(st.integers(0, len(rows))), (a, b))
+    rows.append((tuple(-x for x in a), -b - c))
+    return rows, tuple(draw(st.booleans()) for _ in range(n))
+
+
+@given(infeasible_lps(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_farkas_check_matches_fraction_oracle(case, data):
+    """verify_outcome's integer Farkas sums agree with Fraction ones, on the
+    solver's multipliers and on copies with one entry perturbed, zeroed or
+    negated, or the last dropped."""
+    rows, nonneg = case
+    p = lp_problem([0] * len(nonneg), rows, nonneg)
+    out = solve_lp(p)
+    assert isinstance(out, Infeasible) and frac_farkas(rows, nonneg, out.multipliers)
+    lam = list(out.multipliers)
+    i = data.draw(st.integers(0, len(lam) - 1))
+    delta = data.draw(small_q)
+    changed = [lam[:i] + [x] + lam[i + 1 :] for x in (lam[i] + delta, F(0), -lam[i])]
+    for m in changed + [lam[:-1]]:
+        assert verify_outcome(p, Infeasible(tuple(m))) == frac_farkas(rows, nonneg, m)
 
 
 def _pinned_lps():
