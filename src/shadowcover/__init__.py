@@ -25,7 +25,6 @@ from .containment import (
     max_scale,
     product_containment,
     sampled_shadow_cover,
-    shadow_fit,
     translate_fit,
 )
 from .counterexample import (
@@ -34,16 +33,12 @@ from .counterexample import (
     ReliableCoverError,
     build_S,
     build_counterexample,
-    find_alpha,
     verify_bundle,
 )
 from .decomposability import (
-    CrossCheckReport,
     DecompositionReport,
-    cross_check_2iff2,
     extract_factors,
     is_decomposable,
-    normal_components,
 )
 from .lp import Infeasible, LPProblem, Optimal, Unbounded, solve_lp
 from .polytope import (
@@ -56,10 +51,8 @@ from .polytope import (
     embed,
     hull_from_vertices,
     is_centrally_symmetric,
-    minkowski_sum,
     project,
     scale_polytope,
-    support,
     translate,
     vector_area_check,
 )
@@ -68,10 +61,8 @@ from .reliability import (
     ReliabilityVerdict,
     SimplicialFamily,
     direction_set,
-    enumerate_simplicial,
     facet_direction_set,
     is_reliable,
-    is_simplicial,
     parallelotope_check,
 )
 
@@ -90,7 +81,6 @@ __all__ = [
     "BundleVerification",
     "ContainmentVerdict",
     "CounterexampleBundle",
-    "CrossCheckReport",
     "DecompositionReport",
     "DirectionSet",
     "Facet",
@@ -110,31 +100,23 @@ __all__ = [
     "backend_name",
     "build_S",
     "build_counterexample",
-    "cross_check_2iff2",
     "direct_sum",
     "direct_sum_assemble",
     "direction_set",
     "embed",
-    "enumerate_simplicial",
     "extract_factors",
     "facet_direction_set",
-    "find_alpha",
     "hull_from_vertices",
     "is_centrally_symmetric",
     "is_decomposable",
     "is_reliable",
-    "is_simplicial",
     "max_scale",
-    "minkowski_sum",
-    "normal_components",
     "parallelotope_check",
     "product_containment",
     "project",
     "sampled_shadow_cover",
     "scale_polytope",
-    "shadow_fit",
     "solve_lp",
-    "support",
     "translate",
     "translate_fit",
     "vector_area_check",

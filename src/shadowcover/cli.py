@@ -180,6 +180,9 @@ def cmd_validate(args) -> int:
 def cmd_reliability(args) -> int:
     body = load_body(args.file)
     a = body if isinstance(body, DirectionSet) else facet_direction_set(body)
+    # checked before search_space, which cannot size a search for d < 1
+    if not 1 <= args.d <= a.dim - 1:
+        raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
     space = search_space(len(a.directions), a.rank(), args.d + 2)
     if space > 10**7:
         print(
@@ -228,6 +231,8 @@ def cmd_decompose(args) -> int:
     body = load_body(args.file)
     factors_doc = None
     if isinstance(body, Polytope):
+        if body.affine_dim == 0:
+            raise ValueError("a single point has nothing to decompose")
         if not body.is_full_dimensional:
             if not args.affine:
                 print(

@@ -247,28 +247,6 @@ def max_scale(k: Polytope, l: Polytope) -> tuple[Fraction, Vector]:
     return alpha, v
 
 
-def shadow_fit(k: Polytope, l: Polytope, xi: Subspace) -> ContainmentVerdict:
-    """Whether L's shadow on the subspace contains a translate of K's.
-
-    Both bodies are projected to subspace coordinates and `translate_fit`
-    runs there; the returned witness is lifted back into the subspace, so it
-    is an ambient vector lying in xi.  A certificate refers to the facets of
-    the projected L.
-    """
-    verdict = _shadow_verdict(k, l, xi)
-    if verdict.fits:
-        return ContainmentVerdict(True, witness=xi.lift(verdict.witness))
-    return verdict
-
-
-def _shadow_verdict(k: Polytope, l: Polytope, xi: Subspace) -> ContainmentVerdict:
-    """`translate_fit` of the two shadows, its witness left in subspace
-    coordinates."""
-    if xi.ambient_dim != k.dim or k.dim != l.dim:
-        raise ValueError("subspace and bodies must share an ambient dimension")
-    return translate_fit(project(k, xi), project(l, xi))
-
-
 @dataclass(frozen=True)
 class SubspaceSampler:
     """Deterministic stream of random rational d-subspaces.
@@ -336,8 +314,9 @@ def sampled_shadow_cover(
     sampler: SubspaceSampler,
     trials: int,
 ) -> ShadowCoverReport:
-    """Run shadow_fit over `trials` sampled d-subspaces, counting verdicts
-    only: a passing shadow's witness is not lifted."""
+    """Run translate_fit on the shadows of K and L over `trials` sampled
+    d-subspaces, counting verdicts; the first failing shadow's verdict is
+    kept, its certificate on the facets of L's shadow."""
     n = k.dim
     if not 1 <= d <= n - 1:
         raise ValueError("shadow dimension must satisfy 1 <= d <= n-1")
@@ -345,12 +324,14 @@ def sampled_shadow_cover(
         raise ValueError("sampler was built for a different shadow dimension")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if l.dim != n:
+        raise ValueError("subspace and bodies must share an ambient dimension")
     passes = 0
     failed_trial = failed_subspace = failed_verdict = None
     stream = sampler.stream(n)
     for t in range(trials):
         xi = next(stream)
-        verdict = _shadow_verdict(k, l, xi)
+        verdict = translate_fit(project(k, xi), project(l, xi))
         if verdict.fits:
             passes += 1
         elif failed_trial is None:

@@ -107,13 +107,6 @@ def _alpha_scan(
     return alpha_min
 
 
-def _check_scale_search(trials: int, margin: Fraction) -> None:
-    if not 0 < margin < 1:
-        raise ValueError("margin must be strictly between 0 and 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
-
 def _scale_from(alpha_min: Fraction, margin: Fraction) -> Fraction:
     """The counterexample scale 1 + margin * (alpha_min - 1), if alpha_min > 1."""
     if alpha_min <= 1:
@@ -121,25 +114,6 @@ def _scale_from(alpha_min: Fraction, margin: Fraction) -> Fraction:
             "no usable scale: a sampled shadow admits no enlargement"
         )
     return 1 + margin * (alpha_min - 1)
-
-
-def find_alpha(
-    l: Polytope,
-    s: Polytope,
-    d: int,
-    sampler: SubspaceSampler,
-    trials: int = 1000,
-    margin: Fraction = Fraction(1, 2),
-) -> Fraction:
-    """A scale alpha > 1 whose shadows still fit, estimated by sampling.
-
-    Computes the maximal shadow scale over sampled subspaces, keeps its
-    minimum alpha_min, and returns 1 + margin * (alpha_min - 1).  Raises
-    when alpha_min <= 1: then S already touches some sampled shadow too
-    tightly and no counterexample scale can be certified this way.
-    """
-    _check_scale_search(trials, margin)
-    return _scale_from(_alpha_scan(l, s, d, sampler, trials), margin)
 
 
 @dataclass(frozen=True)
@@ -231,7 +205,10 @@ def build_counterexample(
     is a point) or RuntimeError (the fresh shadow sample failed).  The
     verification seed is derived as seed+1 and recorded in the bundle.
     """
-    _check_scale_search(trials, margin)
+    if not 0 < margin < 1:
+        raise ValueError("margin must be strictly between 0 and 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     verdict: ReliabilityVerdict = is_reliable(l, d)
     if verdict.reliable:
         raise ReliableCoverError(f"cover is {d}-reliable; no counterexample exists")

@@ -11,7 +11,7 @@ configuration: two normals belong together when some minimal linear
 dependency (circuit) contains both.  It suffices to chase the fundamental
 circuits read off a single reduced echelon form — the supports of a
 nullspace basis — and close under union-find; the test suite cross-checks
-this against exhaustive circuit enumeration.
+this against a union of every circuit found by subset enumeration.
 
 Factor extraction maps the body's integer vertex numerators by M, the
 stacked component bases, which turns the components into coordinate blocks;
@@ -27,9 +27,9 @@ from math import prod
 from typing import Sequence
 
 from .kernels import int_dot, int_echelon, int_nullspace, int_rank
-from .linalg import coordinate_map, integerize, matrix, to_ints
+from .linalg import coordinate_map, to_ints
 from .polytope import Polytope, Subspace, blocks_of, int_image, product_vertices
-from .reliability import DirectionSet, facet_direction_set, is_reliable
+from .reliability import DirectionSet, facet_direction_set
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,13 @@ def _components_of(a: DirectionSet) -> list[Component]:
     for root in sorted(groups):
         members = tuple(sorted(groups[root]))
         basis = int_echelon([dirs[j] for j in members])
-        comps.append(Component(Subspace(n, matrix(basis)), members))
+        comps.append(Component(Subspace(n, tuple(basis)), members))
 
     total = sum(c.subspace.dim for c in comps)
-    stacked = [integerize(r) for c in comps for r in c.subspace.basis]
+    stacked = [r for c in comps for r in c.subspace.basis]
     if total != n or int_rank(stacked) != n:
         raise RuntimeError("component spans failed to form a direct sum")
     return comps
-
-
-def normal_components(a: DirectionSet) -> list[Subspace]:
-    """The finest direct-sum grouping of a spanning direction set.
-
-    Every direction lies in exactly one returned subspace and the subspaces
-    decompose the ambient space.  Raises ValueError when the directions do
-    not span.
-    """
-    return [c.subspace for c in _components_of(a)]
 
 
 def is_decomposable(
@@ -173,32 +163,3 @@ def extract_factors(
         (Subspace(n, tuple(tuple(Fraction(x, r) for x in row) for row in b)), f)
         for b, f in zip(blocks_of(m_inv_t, dims), factors)
     ]
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Per-body agreement of 2-reliability and 2-decomposability."""
-
-    entries: tuple[tuple[bool, bool], ...]
-
-    @property
-    def violations(self) -> tuple[int, ...]:
-        return tuple(i for i, (r, d) in enumerate(self.entries) if r != d)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def cross_check_2iff2(corpus: Sequence[Polytope]) -> CrossCheckReport:
-    """Check reliability(2) == decomposability(2) on centrally symmetric bodies."""
-    from .polytope import is_centrally_symmetric
-
-    entries = []
-    for p in corpus:
-        if is_centrally_symmetric(p) is None:
-            raise ValueError("cross-check corpus must be centrally symmetric")
-        rel = is_reliable(p, 2).reliable
-        dec, _ = is_decomposable(p, 2)
-        entries.append((rel, dec))
-    return CrossCheckReport(tuple(entries))

@@ -111,30 +111,28 @@ def int_nullspace(rows, ncols):
     return basis
 
 
-def circuits(vectors, min_size, max_size, positive_only=False, limit=0):
-    """Minimal linear dependencies (circuits) among integer vectors.
+def circuits(vectors, min_size, max_size):
+    """The first positive circuit of min_size..max_size integer vectors.
 
     A circuit is a dependent index set all of whose proper subsets are
-    independent; its dependency coefficients are unique up to scale.  Only
-    circuits with min_size <= size <= max_size are reported, as
-    (member index tuple, integer coefficient tuple) pairs in lexicographic
-    member order.  With positive_only, keep just the circuits whose
-    coefficients can be signed all-positive (returned positive); otherwise
-    coefficients are normalised so the first one is positive.  A nonzero
-    `limit` stops the search after that many hits.
+    independent; its dependency coefficients are unique up to scale.  A
+    positive circuit is one whose coefficients can be signed all-positive.
+    Returns a list holding at most one (member index tuple, content-reduced
+    positive coefficient tuple) pair: the first such circuit of size
+    min_size..max_size met by the search, or none.
 
-    DFS over increasing independent prefixes; the elimination is augmented
-    with combination bookkeeping (rows remember how they were built from the
-    chosen vectors), so dependency coefficients fall out of the reduction
-    with no extra solve.  Invariant while reducing a candidate v: s*v equals
-    w plus the combination of chosen vectors with coefficients wc.
+    DFS over increasing independent prefixes in lexicographic member order;
+    the elimination is augmented with combination bookkeeping (rows remember
+    how they were built from the chosen vectors), so dependency coefficients
+    fall out of the reduction with no extra solve.  Invariant while reducing
+    a candidate v: s*v equals w plus the combination of chosen vectors with
+    coefficients wc.
     """
     nvec = len(vectors)
     if nvec == 0:
         return []
     dim = len(vectors[0])
     prefix_cap = min(max_size - 1, dim)
-    out = []
     # explicit DFS stack of [next candidate, chosen prefix, prefix echelon]
     stack = [[0, (), []]]
     while stack:
@@ -166,28 +164,13 @@ def circuits(vectors, min_size, max_size, positive_only=False, limit=0):
                 break
         if pcol < 0:
             # dependent: sum(wc[i]*u_chosen[i]) - s*v_j = 0
-            size = k + 1
-            if min_size <= size <= max_size and all(wc):
+            if min_size <= k + 1 <= max_size and all(wc):
                 coeffs = wc + [-s]
-                g = _content(coeffs)
-                if g > 1:
-                    coeffs = [c // g for c in coeffs]
-                if positive_only:
-                    if coeffs[-1] < 0:
-                        coeffs = [-c for c in coeffs]
-                    if all(c > 0 for c in coeffs):
-                        out.append((chosen + (j,), tuple(coeffs)))
-                        if limit and len(out) >= limit:
-                            return out
-                else:
-                    for c in coeffs:
-                        if c:
-                            if c < 0:
-                                coeffs = [-x for x in coeffs]
-                            break
-                    out.append((chosen + (j,), tuple(coeffs)))
-                    if limit and len(out) >= limit:
-                        return out
+                if coeffs[-1] < 0:
+                    coeffs = [-c for c in coeffs]
+                if all(c > 0 for c in coeffs):
+                    g = _content(coeffs)
+                    return [(chosen + (j,), tuple(c // g for c in coeffs))]
         elif k + 1 <= prefix_cap:
             combo = [-c for c in wc] + [s]
             g = _content(w + combo)
@@ -195,7 +178,7 @@ def circuits(vectors, min_size, max_size, positive_only=False, limit=0):
                 w = [y // g for y in w]
                 combo = [c // g for c in combo]
             stack.append([j + 1, chosen + (j,), echelon + [(w, pcol, combo)]])
-    return out
+    return []
 
 
 def _det(m):

@@ -4,9 +4,9 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of equal
 length rows.  Every operation is exact and deterministic — identical inputs
 give bit-identical outputs — and nothing here ever touches floating point.
 
-Rank and nullspace dispatch to the integer kernels after clearing
-denominators (row scaling changes neither the row space nor the solution set
-of M x = 0).
+Rank and the coordinate map work on integer numerators over a common
+denominator (``to_ints``): scaling a matrix changes neither its rank nor its
+row space.  Integer rows pass through unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernels import _eliminate, int_dot, int_nullspace, int_rank
+from .kernels import _eliminate, int_dot, int_rank
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -88,12 +88,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(zip(*m))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def integerize(u: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers.
 
@@ -120,24 +114,11 @@ def to_ints(points: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
     return nums, den
 
 
-def integer_rows(m: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    return [integerize(row) for row in m]
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the row space, by exact elimination."""
     if not m:
         raise ValueError("rank of an empty matrix")
-    return int_rank(integer_rows(m))
-
-
-def nullspace(m: Sequence[Sequence[Fraction]]) -> list[Vector]:
-    """A basis (possibly empty) of {x : M x = 0}, exact."""
-    if not m:
-        raise ValueError("nullspace of an empty matrix")
-    ncols = len(m[0])
-    basis = int_nullspace(integer_rows(m), ncols)
-    return [vector(b) for b in basis]
+    return int_rank(to_ints(m)[0])
 
 
 def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:

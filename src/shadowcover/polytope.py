@@ -67,9 +67,10 @@ class Facet:
 class Subspace:
     """A linear subspace given by independent rational basis rows.
 
-    Coordinates in the subspace are those of its basis B: the orthogonal
-    projection of x is B^T c with c = (B B^T)^-1 B x, kept as the integer
-    map A / q of ``linalg.coordinate_map``.
+    Rows may hold ints (the sampler's and the normal components' integer
+    rows) or Fractions.  Coordinates in the subspace are those of its basis
+    B: the orthogonal projection of x is B^T c with c = (B B^T)^-1 B x, kept
+    as the integer map A / q of ``linalg.coordinate_map``.
     """
 
     ambient_dim: int
@@ -276,10 +277,6 @@ def _moved(
     )
 
 
-def support(p: Polytope, u: Sequence[Fraction]) -> Fraction:
-    return p.support(u)
-
-
 def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
     """Translate a polytope; an exact fast path, no re-hulling needed.
 
@@ -339,12 +336,6 @@ def int_image(a: IntMatrix, q: int, vertices: tuple[IntMatrix, int]) -> Polytope
     nums, den = vertices
     images = [tuple(int_dot(row, v) for row in a) for v in nums]
     return _int_hull(len(a), images, q * den)
-
-
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    if p.dim != q.dim:
-        raise ValueError("minkowski sum needs equal ambient dimension")
-    return hull_from_vertices([add(v, w) for v in p.vertices for w in q.vertices])
 
 
 def direct_sum_basis(parts: Sequence[tuple[Subspace, Polytope]]) -> Matrix:

@@ -7,9 +7,10 @@ direction configuration.
 
 A polytope is a d-reliable cover — covering of every d-shadow implies
 covering of the body — exactly when its facet normals contain no simplicial
-family of size d+2 or larger.  The decision is exact: families are
-enumerated exhaustively over all subset sizes up to rank+1, with every
-returned family carrying its verifiable positive dependency.
+family of size d+2 or larger.  The decision is exact: a depth-first search
+over independent prefixes (``kernels.circuits``) stops at the first family
+of size d+2 to rank+1, or proves that none exists, and every returned family
+carries its verifiable positive dependency.
 
 All checks are invariant under positive rescaling of individual directions,
 which is why unnormalised integer direction vectors can stand in for unit
@@ -24,16 +25,18 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .kernels import circuits, int_rank
-from .linalg import Vector, integerize, matrix, nullspace, vector
+from .linalg import Vector, integerize, vector
 from .polytope import Polytope, hull_from_vertices, translate_of
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Nonzero directions, content-reduced, no two positively proportional.
+    """Nonzero rational directions, no two positively proportional.
 
-    Antipodal pairs are allowed.  Original orientations are kept — positive
-    dependencies are orientation sensitive.
+    Directions keep the scale they are given in; their content-reduced
+    integer rows are computed once and stored, and every rank test and
+    family search reads those.  Antipodal pairs are allowed.  Original
+    orientations are kept — positive dependencies are orientation sensitive.
     """
 
     dim: int
@@ -46,18 +49,21 @@ class DirectionSet:
                 raise ValueError("direction dimension mismatch")
             if not any(u):
                 raise ValueError("zero vector is not a direction")
-            key = tuple(integerize(u))
+            key = integerize(u)
             if key in seen:
                 raise ValueError(
                     f"directions {seen[key]} and {idx} are positively proportional"
                 )
             seen[key] = idx
+        # the keys are the integer rows, in direction order
+        object.__setattr__(self, "_rows", tuple(seen))
 
-    def integer_directions(self) -> list[tuple[int, ...]]:
-        return [integerize(u) for u in self.directions]
+    def integer_directions(self) -> tuple[tuple[int, ...], ...]:
+        """The content-reduced integer rows, one per direction."""
+        return self._rows
 
     def rank(self) -> int:
-        return int_rank(self.integer_directions())
+        return int_rank(self._rows)
 
 
 def direction_set(dim: int, dirs: Iterable[Sequence[object]]) -> DirectionSet:
@@ -101,36 +107,8 @@ def family_valid(a: DirectionSet, fam: SimplicialFamily) -> bool:
         total = [t + c * x for t, x in zip(total, u)]
     if any(total):
         return False
-    rows = [integerize(a.directions[i]) for i in fam.members]
+    rows = [a.integer_directions()[i] for i in fam.members]
     return int_rank(rows) == len(fam.members) - 1
-
-
-def is_simplicial(dirs: Sequence[Sequence[object]]) -> SimplicialFamily | None:
-    """Whether the given vectors form one simplicial family.
-
-    Requires rank = size - 1 and a one-dimensional dependency space whose
-    generator can be signed all-positive; the coefficients are returned in
-    reduced integer form.
-    """
-    vecs = [vector(u) for u in dirs]
-    m = len(vecs)
-    if m < 2 or any(not any(u) for u in vecs):
-        return None
-    cols = matrix(vecs)
-    if int_rank([integerize(u) for u in vecs]) != m - 1:
-        return None
-    # dependency space of the vectors = nullspace of the transposed matrix
-    dep = nullspace(tuple(zip(*cols)))
-    if len(dep) != 1:
-        return None
-    c = dep[0]
-    if all(x > 0 for x in c):
-        coeffs = c
-    elif all(x < 0 for x in c):
-        coeffs = tuple(-x for x in c)
-    else:
-        return None
-    return SimplicialFamily(tuple(range(m)), vector(integerize(coeffs)))
 
 
 def _family(
@@ -139,31 +117,15 @@ def _family(
     """A family from a circuit of the integer directions, in a's own scale.
 
     The circuit's coefficients combine the content-reduced directions; each
-    one is rescaled by that direction's factor integerize(u)/u so that they
+    one is rescaled by that direction's factor (integer row)/u so that they
     combine the directions of ``a`` as given (no change for reduced input).
     """
     coeffs = []
     for i, c in zip(members, int_coeffs):
-        u = a.directions[i]
-        k = next(j for j, x in enumerate(u) if x)
-        coeffs.append(c * integerize(u)[k] / u[k])
+        u, row = a.directions[i], a.integer_directions()[i]
+        k = next(j for j, x in enumerate(row) if x)
+        coeffs.append(c * row[k] / u[k])
     return SimplicialFamily(members, tuple(coeffs))
-
-
-def enumerate_simplicial(a: DirectionSet, min_size: int) -> list[SimplicialFamily]:
-    """All simplicial families of at least `min_size` directions.
-
-    A simplicial family of size m spans m-1 dimensions, so m never exceeds
-    rank+1; the search is exhaustive below that bound.  Families come back
-    sorted by size, then lexicographically by member indices.
-    """
-    if min_size < 2:
-        raise ValueError("simplicial families have at least 2 members")
-    max_size = a.rank() + 1
-    found = circuits(a.integer_directions(), min_size, max_size, positive_only=True)
-    fams = [_family(a, members, coeffs) for members, coeffs in found]
-    fams.sort(key=lambda f: (f.size, f.members))
-    return fams
 
 
 @dataclass(frozen=True)
@@ -175,7 +137,7 @@ class ReliabilityVerdict:
 
 
 def search_space(num_directions: int, rank: int, min_size: int) -> int:
-    """Number of subsets the exhaustive family search ranges over."""
+    """Number of subsets the family search ranges over, at most."""
     return sum(
         comb(num_directions, m) for m in range(min_size, rank + 2)
     )
@@ -194,15 +156,15 @@ def is_reliable(body: Polytope | DirectionSet, d: int) -> ReliabilityVerdict:
     if not 1 <= d <= n - 1:
         raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
     dirs = a.integer_directions()
-    max_size = int_rank(dirs) + 1
+    max_size = a.rank() + 1
     # one existence scan over all sizes; only an unreliable verdict needs the
     # follow-up per-size scans to pin down the smallest certificate
-    hit = circuits(dirs, d + 2, max_size, positive_only=True, limit=1)
+    hit = circuits(dirs, d + 2, max_size)
     if not hit:
         return ReliabilityVerdict(True, d, None, a)
     found_size = len(hit[0][0])
     for size in range(d + 2, found_size):
-        smaller = circuits(dirs, size, size, positive_only=True, limit=1)
+        smaller = circuits(dirs, size, size)
         if smaller:
             hit = smaller
             break

@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the library's own code paths: ranks and
 nullspaces come from sympy, hulls are checked by reconstructing vertices
-from the half-space side (H-to-V, the reverse of the library's V-to-H), and
-LP optima are recomputed by enumerating basic solutions.  The membership,
-containment and LP feasibility checks that the library runs in integers are
-kept here in their direct ``Fraction`` form, substituting into the rational
-facets and constraints.
+from the half-space side (H-to-V, the reverse of the library's V-to-H), LP
+optima are recomputed by enumerating basic solutions, and circuits and
+simplicial families are found by testing every subset in turn rather than by
+the library's depth-first search.  The membership, containment and LP
+feasibility checks that the library runs in integers are kept here in their
+direct ``Fraction`` form, substituting into the rational facets and
+constraints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import sympy
 
@@ -35,6 +38,97 @@ def sy_nullspace(rows) -> list[tuple[Fraction, ...]]:
     for v in m.nullspace():
         out.append(tuple(Fraction(int(x.p), int(x.q)) for x in v))
     return out
+
+
+def _dependency(vectors) -> list[int] | None:
+    """The dependency c (sum c_i v_i = 0) of integer vectors whose
+    dependencies form a line, else None, by fraction-free Gauss-Jordan
+    elimination on the matrix with the vectors as columns."""
+    m = len(vectors)
+    rows = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
+    pivots = []
+    free = None
+    for col in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            if free is not None:
+                return None
+            free = col
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        p = pr[col]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = [p * x - f * y for x, y in zip(rows[i], pr)]
+        pivots.append(col)
+    if free is None:
+        return None
+    # pivot rows read p_r x_col + a_r x_free = 0; scale so every entry is whole
+    scale = lcm(*[rows[r][col] for r, col in enumerate(pivots)])
+    c = [0] * m
+    c[free] = scale
+    for r, col in enumerate(pivots):
+        c[col] = -rows[r][free] * (scale // rows[r][col])
+    return c
+
+
+def _integer_vectors(vectors) -> list[tuple[int, ...]]:
+    """The vectors times one common denominator: the same dependencies."""
+    den = lcm(*[Fraction(x).denominator for v in vectors for x in v])
+    return [tuple(int(Fraction(x) * den) for x in v) for v in vectors]
+
+
+def primitive(coeffs) -> tuple[int, ...]:
+    """Coprime integers proportional to rational coefficients, same signs."""
+    den = lcm(*[Fraction(c).denominator for c in coeffs])
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def simplicial_families(vectors, min_size):
+    """Every simplicial family (positive circuit) of at least min_size
+    vectors, as (members, positive primitive coefficients), sorted by size
+    and then members."""
+    vectors = _integer_vectors(vectors)
+    out = []
+    for size in range(min_size, sy_rank(vectors) + 2):
+        for members in combinations(range(len(vectors)), size):
+            c = _dependency([vectors[i] for i in members])
+            if c is not None and (all(x > 0 for x in c) or all(x < 0 for x in c)):
+                out.append((members, primitive([abs(x) for x in c])))
+    return out
+
+
+def circuit_components(vectors) -> list[tuple[int, ...]]:
+    """The connected components of the circuits among the vectors: two
+    belong together when some circuit holds both.  Every subset of at most
+    rank + 1 vectors is tested, except those already inside one component."""
+    vectors = _integer_vectors(vectors)
+    parent = list(range(len(vectors)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for size in range(2, sy_rank(vectors) + 2):
+        for members in combinations(range(len(vectors)), size):
+            roots = {find(i) for i in members}
+            if len(roots) == 1:
+                continue
+            c = _dependency([vectors[i] for i in members])
+            if c is not None and all(c):
+                top = min(roots)
+                for r in roots:
+                    parent[r] = top
+    groups = {}
+    for j in range(len(vectors)):
+        groups.setdefault(find(j), []).append(j)
+    return sorted(tuple(g) for g in groups.values())
 
 
 def hrep_vertices(facets, dim) -> set[tuple[Fraction, ...]]:

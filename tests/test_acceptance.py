@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import simplicial_families
 from shadowcover.containment import (
     SubspaceSampler,
     certificate_valid,
     fits_exactly,
     product_containment,
     sampled_shadow_cover,
-    shadow_fit,
     translate_fit,
 )
 from shadowcover.corpus import (
@@ -25,8 +25,9 @@ from shadowcover.corpus import (
     random_symmetric_polytope,
 )
 from shadowcover.counterexample import build_counterexample
-from shadowcover.decomposability import cross_check_2iff2, is_decomposable
-from shadowcover.linalg import matrix, matvec, nullspace, vector
+from shadowcover.decomposability import is_decomposable
+from shadowcover.kernels import int_nullspace
+from shadowcover.linalg import add, integerize, matrix, matvec, vector
 from shadowcover.lp import Infeasible, Optimal, lp_problem, solve_lp, verify_outcome
 from shadowcover.polytope import (
     Subspace,
@@ -35,13 +36,12 @@ from shadowcover.polytope import (
     embed,
     hull_from_vertices,
     is_centrally_symmetric,
-    minkowski_sum,
+    project,
     scale_polytope,
     subspace,
     vector_area_check,
 )
 from shadowcover.reliability import (
-    enumerate_simplicial,
     facet_direction_set,
     is_reliable,
     parallelotope_check,
@@ -149,9 +149,11 @@ def test_criterion_1_square_pyramid():
 def test_criterion_2_q_direction_set():
     t0 = time.perf_counter()
     q = named("q-directions")
-    assert enumerate_simplicial(q, 5) == []
-    fams4 = enumerate_simplicial(q, 4)
-    assert fams4 and all(f.size == 4 for f in fams4)
+    assert simplicial_families(q.directions, 5) == []
+    fams4 = simplicial_families(q.directions, 4)
+    assert fams4 and all(len(members) == 4 for members, _ in fams4)
+    assert is_reliable(q, 3).reliable
+    assert is_reliable(q, 2).certificate.members == fams4[0][0]
     ok, report = is_decomposable(q, 3)
     assert not ok and report.dims() == (4,)
     dt = time.perf_counter() - t0
@@ -180,10 +182,13 @@ def test_criterion_4_symmetric_2iff2(symmetric_corpus):
     assert len(symmetric_corpus) >= 100
     for p in symmetric_corpus:
         assert is_centrally_symmetric(p) is not None
-    report = cross_check_2iff2(symmetric_corpus)
-    assert report.passed
-    both_true = sum(1 for r, d in report.entries if r and d)
-    both_false = sum(1 for r, d in report.entries if not r and not d)
+    entries = [
+        (is_reliable(p, 2).reliable, is_decomposable(p, 2)[0])
+        for p in symmetric_corpus
+    ]
+    assert all(r == d for r, d in entries)
+    both_true = sum(1 for r, d in entries if r and d)
+    both_false = sum(1 for r, d in entries if not r and not d)
     dt = time.perf_counter() - t0
     assert dt < 300
     print(f"\nCRITERION 4 PASS: reliability(2) == decomposability(2) on "
@@ -200,14 +205,14 @@ def test_criterion_5_decomposable_implies_reliable(corpus):
         _, report = is_decomposable(p, 1)
         cheap = len(p.facets) <= 14 or i % 10 == 0
         if cheap:
-            fams = enumerate_simplicial(facet_direction_set(p), 3)
-            max_family = max((f.size for f in fams), default=2)
+            fams = simplicial_families(facet_direction_set(p).directions, 3)
+            max_family = max((len(members) for members, _ in fams), default=2)
         for d in range(1, p.dim):
             if report.decomposable_at(d):
                 decomposable_pairs += 1
                 assert is_reliable(p, d).reliable
             if cheap:
-                # spot-check the decision procedure against full enumeration
+                # spot-check the decision procedure against subset enumeration
                 assert is_reliable(p, d).reliable == (max_family <= d + 1)
             pairs += 1
     dt = time.perf_counter() - t0
@@ -328,11 +333,11 @@ def test_criterion_8_linear_invariance_of_hyperplane_shadows():
         if not any(u):
             continue
         psi = rng.choice(psis)
-        before = shadow_fit(k, l, _complement(u))
+        before = _shadow_fits(k, l, _complement(u))
         pk, pl = apply_linear(k, psi), apply_linear(l, psi)
         pu = matvec(matrix(psi), vector(u))
-        after = shadow_fit(pk, pl, _complement(pu))
-        assert before.fits == after.fits
+        after = _shadow_fits(pk, pl, _complement(pu))
+        assert before == after
         checked += 1
     dt = time.perf_counter() - t0
     print(f"\nCRITERION 8 PASS: hyperplane shadow verdicts invariant under "
@@ -340,7 +345,11 @@ def test_criterion_8_linear_invariance_of_hyperplane_shadows():
 
 
 def _complement(u):
-    return Subspace(len(u), matrix(nullspace(matrix([u]))))
+    return Subspace(len(u), tuple(int_nullspace([integerize(u)], len(u))))
+
+
+def _shadow_fits(k, l, xi):
+    return translate_fit(project(k, xi), project(l, xi)).fits
 
 
 def test_criterion_9_embedding_invariance():
@@ -366,7 +375,7 @@ def test_criterion_9_embedding_invariance():
         for _ in range(25):
             xi = next(stream)
             lifted = Subspace(4, matrix([row + (F(0),) for row in xi.basis]))
-            assert shadow_fit(k, l, xi).fits == shadow_fit(ek, el, lifted).fits
+            assert _shadow_fits(k, l, xi) == _shadow_fits(ek, el, lifted)
 
     # passes persist for fresh subspaces of the larger space
     k, l = pairs[0]
@@ -395,7 +404,7 @@ def test_criterion_10_infrastructure_invariants(corpus):
         n = rng.choice((2, 3))
         a = random_polytope(rng.randint(0, 10**6), n, n + 3, 3)
         b = random_polytope(rng.randint(0, 10**6), n, n + 4, 3)
-        s = minkowski_sum(a, b)
+        s = hull_from_vertices([add(v, w) for v in a.vertices for w in b.vertices])
         for _ in range(4):
             u = tuple(rng.randint(-4, 4) for _ in range(n))
             assert s.support(u) == a.support(u) + b.support(u)

@@ -99,6 +99,14 @@ def test_reliability_directions_input(capsys, tmp_path):
     assert code == 1 and "size 4" in out
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "3"])
+def test_reliability_rejects_d_out_of_range(capsys, pyramid_file, value):
+    # checked before the search is sized, which would fail on d <= -3
+    code, out, err = run(capsys, "reliability", pyramid_file, "--d", value)
+    assert code == 2 and out == ""
+    assert err == "error: reliability needs 1 <= d <= ambient dimension - 1\n"
+
+
 def test_decompose_pyramid(capsys, pyramid_file):
     code, out, _ = run(capsys, "decompose", pyramid_file, "--d", "2")
     assert code == 1
@@ -136,6 +144,15 @@ def test_decompose_lower_dimensional_needs_affine(capsys, tmp_path):
     assert code == 2 and "--affine" in err
     code, out, _ = run(capsys, "decompose", str(path), "--affine")
     assert code == 0
+
+
+@pytest.mark.parametrize("affine", [[], ["--affine"]])
+def test_decompose_single_point_exits_2(capsys, tmp_path, affine):
+    path = tmp_path / "point.json"
+    write_json(path, {"dim": 3, "vertices": [["1", "2", "3"]]})
+    code, out, err = run(capsys, "decompose", str(path), *affine)
+    assert code == 2 and out == ""
+    assert err == "error: a single point has nothing to decompose\n"
 
 
 def test_contain_exit_codes(capsys, cube_file, big_cube_file):
@@ -368,4 +385,25 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
     ]
     assert hashlib.sha256("".join(text).encode()).hexdigest() == (
         "88b4dc4ecdeb75347d8c031736842051599affb38a56c2f43e5546339e9cea9b"
+    )
+
+
+def test_rational_direction_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
+    """reliability and decompose JSON on rational, unreduced directions, pinned
+    by a digest recorded while components still held Fraction basis rows."""
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    write_json("dirs.json", {
+        "dim": 3,
+        "directions": [["1/2", 0, 0], [0, "2/3", 0], [-3, -3, 0], [0, 0, 2],
+                       [0, 0, "-1/5"]],
+    })
+    text = []
+    for argv in (["reliability", "dirs.json", "--d", "1"],
+                 ["decompose", "dirs.json", "--d", "1"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        text.append(f"{' '.join(argv)} -> {code}\n{out}")
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == (
+        "1c6ae6d41c9d1b26529cfc7e8eaeef534eb30472f73d9a1f315b0f423c8ed92a"
     )

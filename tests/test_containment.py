@@ -15,19 +15,19 @@ from shadowcover.containment import (
     max_scale,
     product_containment,
     sampled_shadow_cover,
-    shadow_fit,
     translate_fit,
 )
 from shadowcover.corpus import random_polytope
 from shadowcover.counterexample import build_S
-from shadowcover.kernels import int_rank
-from shadowcover.linalg import matrix, matvec, nullspace, vector
+from shadowcover.kernels import int_nullspace, int_rank
+from shadowcover.linalg import integerize, matrix, matvec, vector
 from shadowcover.polytope import (
     Subspace,
     apply_linear,
     direct_sum_assemble,
     embed,
     hull_from_vertices,
+    project,
     scale_polytope,
     subspace,
     translate,
@@ -35,6 +35,11 @@ from shadowcover.polytope import (
 from shadowcover.reliability import is_reliable
 
 F = Fraction
+
+
+def shadow_fits(k, l, xi):
+    """Whether L's shadow on xi contains a translate of K's."""
+    return translate_fit(project(k, xi), project(l, xi)).fits
 
 
 def box(*ranges):
@@ -150,21 +155,20 @@ def test_shadow_fit_monotone(cube3):
     big = scale_polytope(cube3, 2)
     for rows in [[(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 1, 1)], [(1, 2, 3)]]:
         xi = subspace(3, rows)
-        assert shadow_fit(cube3, big, xi).fits
+        assert shadow_fits(cube3, big, xi)
 
 
 def test_shadow_fit_pyramid_vs_reflection(pyramid):
     reflected = apply_linear(pyramid, [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
     xi = subspace(3, [(1, 0, 0), (0, 1, 0)])
-    v = shadow_fit(pyramid, reflected, xi)
-    assert v.fits
+    assert shadow_fits(pyramid, reflected, xi)
 
 
 def test_shadow_covering_without_containment():
     k = hull_from_vertices([(0, 0), (3, 0), (0, 1), (3, 1)])
     l = box((0, 2), (0, 2))
     assert not translate_fit(k, l).fits
-    assert shadow_fit(k, l, subspace(2, [(0, 1)])).fits
+    assert shadow_fits(k, l, subspace(2, [(0, 1)]))
 
 
 def test_sampler_deterministic():
@@ -369,16 +373,15 @@ def test_hyperplane_shadow_invariance_under_linear_maps(case):
     l = scale_polytope(random_polytope(60 + case, 3, 7, 3), 2)
     psi = [(1, 1, 0), (0, 1, 0), (1, 0, 2)]
     u = [(1, 0, 0), (1, 2, -1), (0, 1, 1)][case % 3]
-    before = shadow_fit(k, l, _complement(u))
+    before = shadow_fits(k, l, _complement(u))
     pk, pl = apply_linear(k, psi), apply_linear(l, psi)
     pu = matvec(matrix(psi), vector(u))
-    after = shadow_fit(pk, pl, _complement(pu))
-    assert before.fits == after.fits
+    after = shadow_fits(pk, pl, _complement(pu))
+    assert before == after
 
 
 def _complement(u):
-    basis = nullspace(matrix([u]))
-    return Subspace(len(u), matrix(basis))
+    return Subspace(len(u), tuple(int_nullspace([integerize(u)], len(u))))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -390,7 +393,7 @@ def test_embedding_preserves_shadow_verdicts(seed):
     for _ in range(10):
         xi = next(stream)
         lifted = Subspace(4, matrix([row + (F(0),) for row in xi.basis]))
-        assert shadow_fit(k, l, xi).fits == shadow_fit(ek, el, lifted).fits
+        assert shadow_fits(k, l, xi) == shadow_fits(ek, el, lifted)
 
 
 # integer frames whose rows are mutually orthogonal but not of unit length
@@ -489,10 +492,11 @@ def _pinned_alpha_cases():
 
 def test_shadow_reports_pinned_by_digest():
     """Passes, first failing trial and its verdict of 24 seeded sampled
-    shadow covers, and find_alpha on 15 seeded corpus cases, pinned by a
-    digest recorded while shadows were projected and hulled in Fraction
-    arithmetic by the brute-force scan."""
-    from shadowcover.counterexample import find_alpha
+    shadow covers, and the counterexample scale on 15 seeded corpus cases
+    (30 search trials, margin 1/2), pinned by a digest recorded while
+    shadows were projected and hulled in Fraction arithmetic by the
+    brute-force scan."""
+    from shadowcover.counterexample import _alpha_scan, _scale_from
 
     reports = []
     for k, l, d, sampler in _pinned_shadow_cases():
@@ -500,7 +504,7 @@ def test_shadow_reports_pinned_by_digest():
         reports.append((rep.passes, rep.failed_trial, rep.failed_verdict))
     assert sum(r[1] is None for r in reports) == 7
     alphas = [
-        (name, d, find_alpha(l, s, d, sampler, trials=30))
+        (name, d, _scale_from(_alpha_scan(l, s, d, sampler, 30), F(1, 2)))
         for name, d, l, s, sampler in _pinned_alpha_cases()
     ]
     text = "\n".join(repr(r) for r in reports + alphas)

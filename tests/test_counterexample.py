@@ -14,7 +14,6 @@ from shadowcover.counterexample import (
     build_S,
     build_counterexample,
     family_certificate,
-    find_alpha,
     verify_bundle,
 )
 from shadowcover.polytope import hull_from_vertices, scale_polytope
@@ -25,6 +24,13 @@ F = Fraction
 
 def octa_family(octahedron):
     return is_reliable(octahedron, 2).certificate
+
+
+def scale_search(l, s, d, sampler, trials, margin=F(1, 2)):
+    """The scale build_counterexample takes: the sampled minimum of the
+    maximal shadow scales, shrunk towards 1 by the margin."""
+    alpha_min = counterexample._alpha_scan(l, s, d, sampler, trials)
+    return counterexample._scale_from(alpha_min, margin)
 
 
 def test_build_S_octahedron(octahedron):
@@ -55,13 +61,13 @@ def test_build_S_rejects_small_family(octahedron):
 def test_find_alpha_is_above_one(octahedron):
     fam = octa_family(octahedron)
     s = build_S(octahedron, fam)
-    alpha = find_alpha(octahedron, s, 2, SubspaceSampler(3, 2), trials=120)
+    alpha = scale_search(octahedron, s, 2, SubspaceSampler(3, 2), 120)
     assert alpha > 1
 
 
 def test_find_alpha_rejects_identical_bodies(octahedron):
     with pytest.raises(NoUsableScaleError):
-        find_alpha(octahedron, octahedron, 2, SubspaceSampler(3, 2), trials=40)
+        scale_search(octahedron, octahedron, 2, SubspaceSampler(3, 2), 40)
 
 
 @pytest.mark.parametrize("margin", [F(0), F(1)])
@@ -75,10 +81,7 @@ def test_margin_checked_before_family_search(octahedron, monkeypatch, margin):
 
 
 def test_nonpositive_trials_rejected(octahedron):
-    s = build_S(octahedron, octa_family(octahedron))
     for trials in (0, -3):
-        with pytest.raises(ValueError, match="trials"):
-            find_alpha(octahedron, s, 2, SubspaceSampler(3, 2), trials=trials)
         with pytest.raises(ValueError, match="trials"):
             build_counterexample(octahedron, 2, seed=1, trials=trials)
 
@@ -87,8 +90,8 @@ def test_margin_monotone(octahedron):
     fam = octa_family(octahedron)
     s = build_S(octahedron, fam)
     sampler = SubspaceSampler(3, 2)
-    small = find_alpha(octahedron, s, 2, sampler, 60, margin=F(1, 10))
-    large = find_alpha(octahedron, s, 2, sampler, 60, margin=F(1, 2))
+    small = scale_search(octahedron, s, 2, sampler, 60, margin=F(1, 10))
+    large = scale_search(octahedron, s, 2, sampler, 60, margin=F(1, 2))
     assert 1 < small < large
 
 
@@ -168,4 +171,4 @@ def test_pyramid_point_shadow_is_skipped(pyramid):
 def test_all_point_shadows_leave_no_usable_scale(octahedron):
     point = hull_from_vertices([(0, 0, 0)])
     with pytest.raises(NoUsableScaleError):
-        find_alpha(octahedron, point, 2, SubspaceSampler(3, 2), trials=5)
+        scale_search(octahedron, point, 2, SubspaceSampler(3, 2), 5)

@@ -4,15 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sy_inverse
+from oracles import circuit_components, sy_inverse
 from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
-from shadowcover.decomposability import (
-    cross_check_2iff2,
-    extract_factors,
-    is_decomposable,
-    normal_components,
-)
-from shadowcover.kernels import circuits, int_rank
+from shadowcover.decomposability import extract_factors, is_decomposable
+from shadowcover.kernels import int_rank
 from shadowcover.linalg import integerize, matrix, transpose
 from shadowcover.polytope import (
     apply_linear,
@@ -21,12 +16,7 @@ from shadowcover.polytope import (
     subspace,
     translate_of,
 )
-from shadowcover.reliability import (
-    DirectionSet,
-    direction_set,
-    facet_direction_set,
-    is_reliable,
-)
+from shadowcover.reliability import direction_set, facet_direction_set, is_reliable
 
 F = Fraction
 
@@ -40,51 +30,32 @@ def spans_as_sets(subspaces):
     return out
 
 
-def union_find_over_all_circuits(a: DirectionSet):
-    """Independent oracle: components by exhaustive circuit enumeration."""
-    dirs = a.integer_directions()
-    n = a.dim
-    parent = list(range(len(dirs)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for members, _ in circuits(dirs, 2, n + 1, positive_only=False):
-        r = find(members[0])
-        for m in members[1:]:
-            parent[find(m)] = r
-    groups = {}
-    for j in range(len(dirs)):
-        groups.setdefault(find(j), []).append(j)
-    return sorted(tuple(sorted(g)) for g in groups.values())
+def component_spaces(a):
+    return [c.subspace for c in is_decomposable(a, 1)[1].components]
 
 
 def members_of(a):
-    from shadowcover.decomposability import _components_of
-
-    return sorted(tuple(c.members) for c in _components_of(a))
+    return sorted(tuple(c.members) for c in is_decomposable(a, 1)[1].components)
 
 
 def test_axes_give_lines():
     a = direction_set(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                           (0, 0, 1), (0, 0, -1)])
-    comps = normal_components(a)
+    comps = component_spaces(a)
     assert sorted(sp.dim for sp in comps) == [1, 1, 1]
 
 
 def test_prism_normals_split(cube3):
     prism = named("triangular-prism")
     a = facet_direction_set(prism)
-    comps = normal_components(a)
+    comps = component_spaces(a)
     assert sorted(sp.dim for sp in comps) == [1, 2]
 
 
 def test_q_is_one_component(q_directions):
-    comps = normal_components(q_directions)
+    comps = component_spaces(q_directions)
     assert [sp.dim for sp in comps] == [4]
-    assert members_of(q_directions) == union_find_over_all_circuits(q_directions)
+    assert members_of(q_directions) == circuit_components(q_directions.directions)
 
 
 def test_components_match_circuit_oracle():
@@ -98,19 +69,19 @@ def test_components_match_circuit_oracle():
         named("q-directions"),
     ]
     for a in cases:
-        assert members_of(a) == union_find_over_all_circuits(a)
+        assert members_of(a) == circuit_components(a.directions)
 
 
 def test_component_order_invariant_under_permutation():
     prism = named("hexagonal-prism")
     a = facet_direction_set(prism)
     rev = direction_set(a.dim, list(reversed(a.directions)))
-    assert spans_as_sets(normal_components(a)) == spans_as_sets(normal_components(rev))
+    assert spans_as_sets(component_spaces(a)) == spans_as_sets(component_spaces(rev))
 
 
 def test_nonspanning_rejected():
     with pytest.raises(ValueError):
-        normal_components(direction_set(3, [(1, 0, 0), (-1, 0, 0)]))
+        component_spaces(direction_set(3, [(1, 0, 0), (-1, 0, 0)]))
 
 
 def test_decomposability_verdicts(pyramid, cube3, q_directions):
@@ -129,7 +100,7 @@ def test_decomposability_rejects_nonpositive_d(cube3, q_directions, d):
 
 
 def test_extract_factors_cube(cube3):
-    comps = normal_components(facet_direction_set(cube3))
+    comps = component_spaces(facet_direction_set(cube3))
     factors = extract_factors(cube3, comps)
     assert [f.affine_dim for _, f in factors] == [1, 1, 1]
     rebuilt = direct_sum_assemble(factors)
@@ -138,14 +109,14 @@ def test_extract_factors_cube(cube3):
 
 def test_extract_factors_prism():
     prism = named("triangular-prism")
-    comps = normal_components(facet_direction_set(prism))
+    comps = component_spaces(facet_direction_set(prism))
     factors = extract_factors(prism, comps)
     assert sorted(f.affine_dim for _, f in factors) == [1, 2]
 
 
 def test_extract_factors_sheared_box():
     sheared = named("sheared-box-3")
-    comps = normal_components(facet_direction_set(sheared))
+    comps = component_spaces(facet_direction_set(sheared))
     factors = extract_factors(sheared, comps)
     assert [f.affine_dim for _, f in factors] == [1, 1, 1]
     rebuilt = direct_sum_assemble(factors)
@@ -155,7 +126,7 @@ def test_extract_factors_sheared_box():
 def test_extract_factors_sheared_prism():
     prism = named("hexagonal-prism")
     sheared = apply_linear(prism, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
-    comps = normal_components(facet_direction_set(sheared))
+    comps = component_spaces(facet_direction_set(sheared))
     factors = extract_factors(sheared, comps)
     assert sorted(f.affine_dim for _, f in factors) == [1, 2]
     rebuilt = direct_sum_assemble(factors)
@@ -232,6 +203,8 @@ def test_extract_factors_pinned_by_digest():
 
 
 def test_cross_check_2iff2_named():
+    """2-reliability agrees with 2-decomposability on centrally symmetric
+    bodies."""
     corpus = [
         named("cube-3"),
         named("hexagonal-prism"),
@@ -242,19 +215,11 @@ def test_cross_check_2iff2_named():
         random_symmetric_polytope(3, 3, 4, 3),
         random_symmetric_polytope(4, 3, 5, 2),
     ]
-    report = cross_check_2iff2(corpus)
-    assert report.passed
+    entries = [(is_reliable(p, 2).reliable, is_decomposable(p, 2)[0]) for p in corpus]
+    assert all(r == d for r, d in entries)
     # prisms and cubes land on (True, True); the octahedron and the rhombic
     # dodecahedron carry simplicial 4-families, so both sides are False
-    assert report.entries[0] == (True, True)
-    assert report.entries[1] == (True, True)
-    assert report.entries[2] == (False, False)
-    assert report.entries[3] == (False, False)
-
-
-def test_cross_check_rejects_asymmetric(pyramid):
-    with pytest.raises(ValueError):
-        cross_check_2iff2([pyramid])
+    assert entries[:4] == [(True, True), (True, True), (False, False), (False, False)]
 
 
 def test_decomposable_implies_reliable_regressions(pyramid, q_directions):

@@ -5,6 +5,7 @@ import gc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import simplicial_families
 from shadowcover import backend_name, kernels
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -21,7 +22,8 @@ def int_matrices(draw, max_rows=5, max_cols=5):
 
 def test_circuit_properties():
     vecs = [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0)]
-    found = kernels.circuits(vecs, 2, 3, positive_only=True)
+    found = kernels.circuits(vecs, 2, 3)
+    assert found == [((0, 1, 2), (1, 1, 1))]
     for members, coeffs in found:
         assert all(c > 0 for c in coeffs)
         dim = len(vecs[0])
@@ -35,6 +37,21 @@ def test_circuit_properties():
         for drop in range(len(members)):
             rest = [vecs[i] for j, i in enumerate(members) if j != drop]
             assert kernels.int_rank(rest) == len(rest)
+    # (0, 4) is a positive pair, but below the size range
+    assert kernels.circuits(vecs, 3, 3) == found
+    assert kernels.circuits(vecs, 2, 2) == [((0, 4), (1, 1))]
+    assert kernels.circuits(vecs[:2], 2, 3) == []
+
+
+@given(int_matrices(max_rows=7, max_cols=4), st.integers(2, 5), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_first_positive_circuit_matches_subset_oracle(vecs, lo, extra):
+    """The hit is the lexicographically first positive circuit of the size
+    range, with content-reduced coefficients."""
+    assume(all(any(v) for v in vecs))
+    families = [f for f in simplicial_families(vecs, lo) if len(f[0]) <= lo + extra]
+    first = sorted(families)[:1]
+    assert kernels.circuits(vecs, lo, lo + extra) == first
 
 
 def test_circuits_leave_no_garbage():
@@ -43,7 +60,7 @@ def test_circuits_leave_no_garbage():
     gc.disable()
     try:
         kernels.circuits(vecs, 2, 4)
-        kernels.circuits(vecs, 2, 4, positive_only=True, limit=1)
+        kernels.circuits(vecs, 5, 5)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sy_inverse, sy_nullspace, sy_rank
-from shadowcover.linalg import (
-    coordinate_map,
-    identity,
-    integerize,
-    matrix,
-    matvec,
-    nullspace,
-    rank,
-    vector,
-)
+from shadowcover.kernels import int_dot, int_nullspace
+from shadowcover.linalg import coordinate_map, integerize, matrix, matvec, rank, vector
 from shadowcover.polytope import Subspace
 
 F = Fraction
+
+
+def identity(n):
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def projector(rows):
@@ -42,14 +38,13 @@ def test_rank_zero_matrix():
 
 
 def test_nullspace_identity_empty():
-    assert nullspace(identity(3)) == []
+    assert int_nullspace([[int(i == j) for j in range(3)] for i in range(3)], 3) == []
 
 
 def test_nullspace_four_columns():
     # columns (1,1,0,0), (0,0,1,1), (-1,0,0,-1), (0,-1,-1,0) as a 4x4 system
     cols = [(1, 1, 0, 0), (0, 0, 1, 1), (-1, 0, 0, -1), (0, -1, -1, 0)]
-    m = matrix(list(zip(*cols)))
-    basis = nullspace(m)
+    basis = int_nullspace(list(zip(*cols)), 4)
     assert len(basis) == 1
     v = basis[0]
     # proportional to (1,1,1,1)
@@ -57,7 +52,7 @@ def test_nullspace_four_columns():
 
 
 def test_nullspace_one_by_two():
-    assert nullspace(matrix([(1, -1)])) == [vector((1, 1))]
+    assert int_nullspace([(1, -1)], 2) == [(1, 1)]
 
 
 def test_projector_axis():
@@ -96,17 +91,16 @@ def int_matrices(draw, max_rows=5, max_cols=5):
 @given(int_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_sympy(rows):
-    assert rank(matrix(rows)) == sy_rank(rows)
+    assert rank(rows) == rank(matrix(rows)) == sy_rank(rows)
 
 
 @given(int_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_nullity_and_exactness(rows):
-    m = matrix(rows)
-    basis = nullspace(m)
-    assert rank(m) + len(basis) == len(rows[0])
+    basis = int_nullspace(rows, len(rows[0]))
+    assert rank(rows) + len(basis) == len(rows[0])
     for v in basis:
-        assert not any(matvec(m, v))
+        assert not any(int_dot(row, v) for row in rows)
     assert len(basis) == len(sy_nullspace(rows))
 
 
@@ -128,9 +122,9 @@ def test_projector_identities(rows):
 
 
 def test_determinism_bit_for_bit():
-    m = matrix([(3, 1, 4), (1, 5, 9), (2, 6, 5)])
-    assert nullspace(m) == nullspace(m)
-    assert rank(m) == rank(m) == 3
+    m = [(3, 1, 4), (1, 5, 9), (2, 6, 5)]
+    assert int_nullspace(m, 3) == int_nullspace(m, 3)
+    assert rank(matrix(m)) == rank(matrix(m)) == 3
 
 
 @st.composite

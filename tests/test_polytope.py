@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import hrep_vertices, sy_inverse
 from shadowcover.corpus import random_polytope, random_symmetric_polytope
-from shadowcover.linalg import dot, matvec, rank, transpose, vector
+from shadowcover.linalg import add, dot, matvec, rank, transpose, vector
 from shadowcover.polytope import (
     apply_linear,
     direct_sum,
@@ -15,7 +15,6 @@ from shadowcover.polytope import (
     facet_area_vectors,
     hull_from_vertices,
     is_centrally_symmetric,
-    minkowski_sum,
     project,
     scale_polytope,
     subspace,
@@ -24,6 +23,11 @@ from shadowcover.polytope import (
 )
 
 F = Fraction
+
+
+def minkowski_sum(p, q):
+    """The hull of every vertex sum."""
+    return hull_from_vertices([add(v, w) for v in p.vertices for w in q.vertices])
 
 
 def normals_of(p):

@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import primitive, simplicial_families
 from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
-from shadowcover.linalg import vector
 from shadowcover.polytope import apply_linear, embed
 from shadowcover.reliability import (
+    SimplicialFamily,
     direction_set,
-    enumerate_simplicial,
     facet_direction_set,
     family_valid,
     is_reliable,
-    is_simplicial,
     parallelotope_check,
     search_space,
 )
@@ -20,54 +19,84 @@ F = Fraction
 
 
 def test_antipodal_pair_is_simplicial():
-    fam = is_simplicial([(1, 0), (-1, 0)])
-    assert fam is not None and fam.coefficients == vector((1, 1))
+    a = direction_set(2, [(1, 0), (-1, 0)])
+    assert simplicial_families(a.directions, 2) == [((0, 1), (1, 1))]
+    assert family_valid(a, SimplicialFamily((0, 1), (F(1), F(1))))
 
 
 def test_pyramid_slant_triple():
-    fam = is_simplicial([(1, 0, 1), (-1, 0, 1), (0, 0, -1)])
-    assert fam is not None
-    assert fam.coefficients == vector((1, 1, 2))
+    a = direction_set(3, [(1, 0, 1), (-1, 0, 1), (0, 0, -1)])
+    fam = is_reliable(a, 1).certificate
+    assert fam.members == (0, 1, 2)
+    assert fam.coefficients == (1, 1, 2)
 
 
 def test_zero_coefficient_dependency_rejected():
-    assert is_simplicial([(1, 0), (0, 1), (-1, 0)]) is None
+    a = direction_set(2, [(1, 0), (0, 1), (-1, 0)])
+    assert is_reliable(a, 1).reliable
+    assert not family_valid(a, SimplicialFamily((0, 1, 2), (F(1), F(0), F(1))))
 
 
 def test_independent_set_rejected():
-    assert is_simplicial([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) is None
+    a = direction_set(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert is_reliable(a, 1).reliable and is_reliable(a, 2).reliable
+    assert not family_valid(a, SimplicialFamily((0, 1, 2), (F(1), F(1), F(1))))
+
+
+def _smallest_family(a, d):
+    """The certificate is_reliable promises, from the subset oracle: the
+    smallest family of size >= d+2, ties broken on member indices."""
+    fams = simplicial_families(a.directions, d + 2)
+    return min(fams, key=lambda f: (len(f[0]), f[0]), default=None)
+
+
+def _certificate_matches_oracle(a, d):
+    verdict = is_reliable(a, d)
+    expected = _smallest_family(a, d)
+    if expected is None:
+        return verdict.reliable and verdict.certificate is None
+    fam = verdict.certificate
+    return (
+        not verdict.reliable
+        and fam.members == expected[0]
+        and primitive(fam.coefficients) == expected[1]
+        and family_valid(a, fam)
+    )
 
 
 def test_enumerate_cube_normals_empty(cube3):
     a = facet_direction_set(cube3)
-    assert enumerate_simplicial(a, 3) == []
+    assert simplicial_families(a.directions, 3) == []
+    assert _certificate_matches_oracle(a, 1)
 
 
 def test_enumerate_pyramid_families(pyramid):
     a = facet_direction_set(pyramid)
-    fams = enumerate_simplicial(a, 3)
-    assert [f.size for f in fams] == [3, 3]
-    for f in fams:
-        assert family_valid(a, f)
-    assert enumerate_simplicial(a, 4) == []
+    fams = simplicial_families(a.directions, 3)
+    assert [len(m) for m, _ in fams] == [3, 3]
+    for members, coeffs in fams:
+        assert family_valid(a, SimplicialFamily(members, coeffs))
+    assert simplicial_families(a.directions, 4) == []
+    assert _certificate_matches_oracle(a, 1)
+    assert _certificate_matches_oracle(a, 2)
 
 
 def test_enumerate_q_directions(q_directions):
-    fams5 = enumerate_simplicial(q_directions, 5)
-    assert fams5 == []
-    fams4 = enumerate_simplicial(q_directions, 4)
+    assert simplicial_families(q_directions.directions, 5) == []
+    fams4 = simplicial_families(q_directions.directions, 4)
     assert fams4
-    assert all(f.size == 4 for f in fams4)
-    for f in fams4:
-        assert family_valid(q_directions, f)
+    assert all(len(m) == 4 for m, _ in fams4)
+    for members, coeffs in fams4:
+        assert family_valid(q_directions, SimplicialFamily(members, coeffs))
     # the paper-style example family is among them
-    dirs = [tuple(int(x) for x in q_directions.directions[i]) for i in fams4[0].members]
     wanted = {(1, 1, 0, 0), (0, 0, 1, 1), (-1, 0, 0, -1), (0, -1, -1, 0)}
     found = [
-        {tuple(int(x) for x in q_directions.directions[i]) for i in f.members}
-        for f in fams4
+        {tuple(int(x) for x in q_directions.directions[i]) for i in members}
+        for members, _ in fams4
     ]
     assert wanted in found
+    for d in (1, 2, 3):
+        assert _certificate_matches_oracle(q_directions, d)
 
 
 def test_pyramid_reliability(pyramid):
@@ -124,7 +153,11 @@ def test_certificate_valid_on_unreduced_directions():
     assert family_valid(a, v.certificate)
     b = direction_set(2, [("1/2", 0), (0, "3/4"), (-1, -1)])
     assert family_valid(b, is_reliable(b, 1).certificate)
-    assert all(family_valid(a, f) for f in enumerate_simplicial(a, 2))
+    assert _certificate_matches_oracle(b, 1)
+    assert _certificate_matches_oracle(a, 1)
+    assert a.integer_directions() == (
+        (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)
+    )
 
 
 def test_family_indices_must_be_in_range():
