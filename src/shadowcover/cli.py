@@ -241,7 +241,7 @@ def cmd_decompose(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            body = project(body, Subspace(body.dim, body.affine_basis))
+            body = project(body, Subspace(body.dim, (body.int_basis, 1)))
         decomposable, report = is_decomposable(body, args.d or 1)
         factors = extract_factors(
             body, [c.subspace for c in report.components]

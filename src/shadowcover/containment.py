@@ -28,10 +28,8 @@ from .linalg import (
     add,
     coordinate_map,
     dot,
-    matvec,
     sub,
     to_ints,
-    transpose,
     vector,
     zero_vector,
 )
@@ -159,21 +157,31 @@ def _frame(l: Polytope):
     """L's facet normals in the fitting LP's coordinates, and the way back.
 
     The LP runs in coordinates of L's affine hull: facet normal a becomes
-    the integer row B a for L's basis rows B, and an LP point c lifts to
-    B^T c plus the perpendicular shift that carries the first vertex of the
-    body being fitted into L's affine hull.  A full-dimensional L keeps its
-    normals and lifts c to itself, reading nothing of the body.
+    the integer row B a for L's integer basis rows B, and an LP point c
+    lifts to o + B^T (c - A o / q), with A / q the coordinate map of B and
+    o the offset from the first vertex of the body being fitted to L's,
+    whose part perpendicular to B carries the body into L's affine hull.
+    A full-dimensional L keeps its normals and lifts c to itself.
     """
     if l.is_full_dimensional:
         return [a for a, _, _ in l.int_facets], lambda c, body: c
-    xi = Subspace(l.dim, l.affine_basis)
+    basis = l.int_basis
+    coords, q = Subspace(l.dim, (basis, 1)).coord_map
+    columns = tuple(zip(*basis))
 
     def lift(c: Vector, body: Polytope) -> Vector:
-        offset = sub(l.vertices[0], body.vertices[0])
-        v_perp = sub(offset, xi.lift(xi.coords_of(offset)))
-        return add(v_perp, xi.lift(c))
+        # with L's vertices Y / E, the body's X / D and c = cn / cd:
+        # o = (D Y0 - E X0) / (E D), and c - A o / q = t / (cd q E D)
+        (y0, *_), e = l.int_vertices
+        (x0, *_), d = body.int_vertices
+        o = [d * y - e * x for y, x in zip(y0, x0)]
+        od = e * d
+        (cn,), cd = to_ints((c,))
+        t = [x * q * od - cd * int_dot(row, o) for x, row in zip(cn, coords)]
+        return tuple(Fraction(cd * q * x + int_dot(col, t), cd * q * od)
+                     for x, col in zip(o, columns))
 
-    return [tuple(int_dot(b, a) for b in l.int_basis) for a, _, _ in l.int_facets], lift
+    return [tuple(int_dot(b, a) for b in basis) for a, _, _ in l.int_facets], lift
 
 
 def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:
@@ -274,7 +282,7 @@ class SubspaceSampler:
                 for _ in range(self.d)
             ]
             try:
-                xi = Subspace(ambient_dim, tuple(rows))
+                xi = Subspace(ambient_dim, (tuple(rows), 1))
             except ValueError:  # dependent rows: rejected
                 continue
             yield xi
@@ -358,11 +366,11 @@ def product_containment(
     of psi x is G_i^-1 B_i x with G_i = B_i B_i^T: the coordinates of x's
     shadow on component i.
     """
-    stacked = direct_sum_basis(parts)
+    stacked, den = direct_sum_basis(parts)
     if parts[0][0].ambient_dim != k.dim or len(stacked) != k.dim:
         raise ValueError("components do not form a direct sum of K's space")
 
-    a, q = coordinate_map(stacked)
+    a, q = coordinate_map(stacked, den)
     dims = [sp.dim for sp, _ in parts]
     w: list[Fraction] = []
     for idx, (rows, (_, factor)) in enumerate(zip(blocks_of(a, dims), parts)):
@@ -370,7 +378,9 @@ def product_containment(
         if not verdict.fits:
             return replace(verdict, component=idx)
         w.extend(verdict.witness)
-    v = matvec(transpose(stacked), w)
+    # v = M^T w, for M = stacked / den and w = wn / wd
+    (wn,), wd = to_ints((w,))
+    v = tuple(Fraction(int_dot(col, wn), den * wd) for col in zip(*stacked))
     for x in k.vertices:
         y = add(x, v)
         blocks = blocks_of(tuple(dot(row, y) / q for row in a), dims)

@@ -35,9 +35,6 @@ from .containment import (
 from .polytope import Polytope, facet_centroid, hull_from_vertices, project, scale_polytope
 from .reliability import ReliabilityVerdict, SimplicialFamily, is_reliable
 
-ONE = Fraction(1)
-
-
 class ReliableCoverError(ValueError):
     """Raised when asked to build a counterexample against a reliable cover."""
 
@@ -67,21 +64,6 @@ def build_S(l: Polytope, family: SimplicialFamily, d: int | None = None) -> Poly
         if s.support(f.normal) != f.offset:
             raise AssertionError("support contact lost during construction")
     return s
-
-
-def family_certificate(
-    l: Polytope, family: SimplicialFamily, s: Polytope, alpha: Fraction
-) -> FarkasCertificate:
-    """The family's own Farkas certificate that alpha*S never fits in L.
-
-    The dependency coefficients c_i over the family facets combine the
-    constraints of the fitting LP into sum(c_i (1 - alpha) b_i) < 0 whenever
-    alpha > 1, because S touches every family facet: h_S(u_i) = b_i.
-    """
-    cert = FarkasCertificate(tuple(zip(family.members, family.coefficients)))
-    if not certificate_valid(scale_polytope(s, alpha), l, cert):
-        raise AssertionError("family certificate failed exact re-verification")
-    return cert
 
 
 def _alpha_scan(
@@ -203,7 +185,10 @@ def build_counterexample(
     is unreliable but this run certifies no scale, it raises
     NoUsableScaleError (alpha_min <= 1, or every sampled shadow of the body
     is a point) or RuntimeError (the fresh shadow sample failed).  The
-    verification seed is derived as seed+1 and recorded in the bundle.
+    bundle holds the family's own multipliers as its Farkas certificate and
+    passes verify_bundle, at the verification seed seed+1 recorded in it,
+    before it is returned; a certificate that fails or a fit the solver
+    finds is a bug and raises AssertionError.
     """
     if not 0 < margin < 1:
         raise ValueError("margin must be strictly between 0 and 1")
@@ -217,18 +202,8 @@ def build_counterexample(
     sampler = SubspaceSampler(seed, d, entry_bound)
     alpha_min = _alpha_scan(l, s, d, sampler, trials)
     alpha = _scale_from(alpha_min, margin)
-    cert = family_certificate(l, family, s, alpha)
-    verify_seed = seed + 1
-    scaled = scale_polytope(s, alpha)
-    report = sampled_shadow_cover(
-        scaled, l, d, SubspaceSampler(verify_seed, d, entry_bound), verify_trials
-    )
-    if not report.all_passed:
-        raise RuntimeError(
-            "safety margin insufficient: a fresh shadow sample failed; "
-            "retry with a smaller margin or more search trials"
-        )
-    return CounterexampleBundle(
+    cert = FarkasCertificate(tuple(zip(family.members, family.coefficients)))
+    bundle = CounterexampleBundle(
         cover=l,
         d=d,
         family=family,
@@ -240,7 +215,18 @@ def build_counterexample(
         search_seed=seed,
         search_trials=trials,
         entry_bound=entry_bound,
-        verify_seed=verify_seed,
+        verify_seed=seed + 1,
         shadow_trials=verify_trials,
-        shadow_failures=report.failures,
+        shadow_failures=0,
     )
+    check = verify_bundle(bundle, bundle.verify_seed, verify_trials)
+    if not check.exact_noncontainment:
+        raise AssertionError("family certificate failed exact re-verification")
+    if not check.solver_agrees:
+        raise AssertionError("solver found a fit of the scaled body in the cover")
+    if not check.shadow_report.all_passed:
+        raise RuntimeError(
+            "safety margin insufficient: a fresh shadow sample failed; "
+            "retry with a smaller margin or more search trials"
+        )
+    return bundle

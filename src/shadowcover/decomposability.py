@@ -22,13 +22,20 @@ exactly: the mapped vertices must be the vertices of the factors' product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 from .kernels import int_dot, int_echelon, int_nullspace, int_rank
-from .linalg import coordinate_map, to_ints
-from .polytope import Polytope, Subspace, blocks_of, int_image, product_vertices
+from .linalg import coordinate_map
+from .polytope import (
+    Polytope,
+    Subspace,
+    blocks_of,
+    canonical,
+    int_image,
+    product_vertices,
+    stack_bases,
+)
 from .reliability import DirectionSet, facet_direction_set
 
 
@@ -95,10 +102,10 @@ def _components_of(a: DirectionSet) -> list[Component]:
     for root in sorted(groups):
         members = tuple(sorted(groups[root]))
         basis = int_echelon([dirs[j] for j in members])
-        comps.append(Component(Subspace(n, tuple(basis)), members))
+        comps.append(Component(Subspace(n, (tuple(basis), 1)), members))
 
     total = sum(c.subspace.dim for c in comps)
-    stacked = [r for c in comps for r in c.subspace.basis]
+    stacked = [r for c in comps for r in c.subspace.int_basis[0]]
     if total != n or int_rank(stacked) != n:
         raise RuntimeError("component spans failed to form a direct sum")
     return comps
@@ -141,11 +148,10 @@ def extract_factors(
     RuntimeError), so direct_sum_assemble(result) is P.
     """
     n = p.dim
-    basis = [row for sp in components for row in sp.basis]
-    if len(basis) != n:
+    m, q = stack_bases(components)
+    if len(m) != n:
         raise ValueError("component dimensions must sum to the ambient dimension")
-    m_inv_t, r = coordinate_map(basis)
-    m, q = to_ints(basis)
+    m_inv_t, r = coordinate_map(m, q)
     dims = [sp.dim for sp in components]
     factors = [int_image(rows, q, p.int_vertices) for rows in blocks_of(m, dims)]
 
@@ -160,6 +166,6 @@ def extract_factors(
     if images != {tuple(q * den * y for y in v) for v in points}:
         raise RuntimeError("factor reconstruction does not match the body")
     return [
-        (Subspace(n, tuple(tuple(Fraction(x, r) for x in row) for row in b)), f)
+        (Subspace(n, canonical(b, r)), f)
         for b, f in zip(blocks_of(m_inv_t, dims), factors)
     ]

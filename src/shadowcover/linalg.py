@@ -4,9 +4,9 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of equal
 length rows.  Every operation is exact and deterministic — identical inputs
 give bit-identical outputs — and nothing here ever touches floating point.
 
-Rank and the coordinate map work on integer numerators over a common
-denominator (``to_ints``): scaling a matrix changes neither its rank nor its
-row space.  Integer rows pass through unchanged.
+Rational data reaches the integer kernels as numerators over a common
+denominator (``to_ints``), which changes neither rank nor row space; the
+coordinate map is built from a subspace's stored integer rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .kernels import _eliminate, int_dot, int_rank
+from .kernels import _eliminate, int_dot
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -78,16 +78,6 @@ def neg(u: Sequence[Fraction]) -> Vector:
     return tuple(-a for a in u)
 
 
-def matvec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, x) for row in m)
-
-
-def transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    if not m:
-        return ()
-    return tuple(zip(*m))
-
-
 def integerize(u: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers.
 
@@ -114,32 +104,25 @@ def to_ints(points: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
     return nums, den
 
 
-def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the row space, by exact elimination."""
-    if not m:
-        raise ValueError("rank of an empty matrix")
-    return int_rank(to_ints(m)[0])
-
-
-def coordinate_map(basis: Sequence[Sequence[Fraction]]) -> tuple[IntMatrix, int]:
+def coordinate_map(rows: IntMatrix, den: int) -> tuple[IntMatrix, int]:
     """The map x -> (B B^T)^-1 B x of coordinates in the row space of B.
 
-    Returned as (A, q), an integer matrix and a positive integer with
-    (B B^T)^-1 B = A / q.  With D the common denominator of B and B' = D B,
-    one fraction-free elimination of [B' B'^T | B'] gives
-    (B' B'^T)^-1 B' = (B B^T)^-1 B / D.  Rows of B must be independent, else
-    B B^T is singular and ValueError is raised.  Composing with the lift
+    B is given as integer rows over a positive denominator, B = rows / den,
+    and the map is returned as (A, q), an integer matrix and a positive
+    integer with (B B^T)^-1 B = A / q.  With B' = rows = den B, one
+    fraction-free elimination of [B' B'^T | B'] gives
+    (B' B'^T)^-1 B' = (B B^T)^-1 B / den.  Rows of B must be independent,
+    else B B^T is singular and ValueError is raised.  Composing with the lift
     c -> B^T c is the identity on coordinates; lifting then mapping is the
     identity on the row space.  For a square B the map is (B^T)^-1, the
     library's one exact inverse.
     """
-    b, den = to_ints(basis)
-    k = len(b)
-    aug = [[int_dot(r, s) for s in b] + list(r) for r in b]
+    k = len(rows)
+    aug = [[int_dot(r, s) for s in rows] + list(r) for r in rows]
     m, pivots = _eliminate(aug, True)
     if pivots[:k] != list(range(k)):
         raise ValueError("singular matrix")
-    # row r of the result is D X_r / P_rr, for m's rows [P | X], P diagonal
+    # row r of the result is den X_r / P_rr, for m's rows [P | X], P diagonal
     q = lcm(*[abs(m[r][r]) for r in range(k)])
     a = [[den * (q // m[r][r]) * x for x in m[r][k:]] for r in range(k)]
     g = gcd(q, *[x for row in a for x in row])

@@ -1,12 +1,13 @@
 """Polytopes with exact rational vertices, stored in integers.
 
 A ``Polytope`` stores only a canonical integer form (see its docstring), so
-equal bodies compare equal; its ``Fraction`` vertices, facets and affine
-basis are views for the API and JSON, built on first read.  Facet normals
-are outward and content-reduced.  Lower-dimensional bodies are first-class:
-facets are then relative facets inside the affine hull, with normals lying
-in the hull's direction space.  Support values, membership tests, shadows,
-``translate`` and ``scale_polytope`` compute on the integers alone.
+equal bodies compare equal, and a ``Subspace`` stores its basis rows once,
+as integers over one denominator (``subspace`` builds it from rational
+rows); their ``Fraction`` views are for the API and JSON, built on first
+read.  Facet normals are outward and content-reduced.  Lower-dimensional
+bodies are first-class: facets are then relative facets inside the affine
+hull, with normals in its direction space.  Support values, membership
+tests, shadows, ``translate`` and ``scale_polytope`` compute on integers.
 
 One integer hull core serves ``hull_from_vertices``, which scales its points
 to integers first, and ``int_image``, which maps vertex numerators by an
@@ -36,13 +37,10 @@ from .linalg import (
     add,
     dot,
     matrix,
-    matvec,
     neg,
-    rank,
     scale,
     sub,
     to_ints,
-    transpose,
     vector,
     zero_vector,
 )
@@ -63,49 +61,55 @@ class Facet:
     incident: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Subspace:
     """A linear subspace given by independent rational basis rows.
 
-    Rows may hold ints (the sampler's and the normal components' integer
-    rows) or Fractions.  Coordinates in the subspace are those of its basis
-    B: the orthogonal projection of x is B^T c with c = (B B^T)^-1 B x, kept
-    as the integer map A / q of ``linalg.coordinate_map``.
+    int_basis: the basis B as (R, den), B = R / den with den > 0 coprime to
+      R's entries, so equal bases compare equal; integer rows are (R, 1).
+    ``subspace`` builds one from rational rows, and ``basis`` is the
+    ``Fraction`` view, built on first read.  Coordinates in the subspace are
+    those of B: the orthogonal projection of x is B^T c with
+    c = (B B^T)^-1 B x, kept as the integer map A / q of ``coordinate_map``.
     """
 
     ambient_dim: int
-    basis: Matrix
+    int_basis: tuple[IntMatrix, int]
 
     def __post_init__(self) -> None:
-        if not self.basis:
+        rows, den = self.int_basis
+        if not rows:
             raise ValueError("subspace needs at least one basis row")
-        if any(len(row) != self.ambient_dim for row in self.basis):
+        if any(len(row) != self.ambient_dim for row in rows):
             raise ValueError("basis rows must have the ambient dimension")
-        if rank(self.basis) != len(self.basis):
+        if den <= 0 or gcd(den, *[x for row in rows for x in row]) > 1:
+            raise ValueError("basis denominator must be positive and coprime")
+        if kernels.int_rank(rows) != len(rows):
             raise ValueError("basis rows are dependent")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.int_basis[0])
+
+    @cached_property
+    def basis(self) -> Matrix:
+        rows, den = self.int_basis
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     @cached_property
     def coord_map(self) -> tuple[IntMatrix, int]:
         """(A, q) with (B B^T)^-1 B = A / q, built on first use: component
         subspaces never project."""
-        return linalg.coordinate_map(self.basis)
+        return linalg.coordinate_map(*self.int_basis)
 
-    def coords_of(self, x: Sequence[Fraction]) -> Vector:
-        """Coordinates A x / q of the orthogonal projection of x."""
-        a, q = self.coord_map
-        return tuple(dot(row, x) / q for row in a)
-
-    def lift(self, c: Sequence[Fraction]) -> Vector:
-        """The subspace point with the given coordinates."""
-        return matvec(transpose(self.basis), c)
+    def __repr__(self) -> str:
+        # the text of the Fraction form, which digests of factors have pinned
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
 
 def subspace(ambient_dim: int, rows: Iterable[Iterable[object]]) -> Subspace:
-    return Subspace(ambient_dim, matrix(rows))
+    """The subspace spanned by rational basis rows."""
+    return Subspace(ambient_dim, to_ints(matrix(rows)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -203,7 +207,7 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     """
     pts = sorted(set(points))
     if len(pts) == 1:
-        return Polytope(n, _canonical(pts, den), (), (), 0, ())
+        return Polytope(n, canonical(pts, den), (), (), 0, ())
 
     q0 = pts[0]
     basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in pts[1:]])
@@ -239,7 +243,7 @@ def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     rows.sort(key=lambda r: r[0])
     return Polytope(
         n,
-        _canonical([pts[i] for i in extreme], den),
+        canonical([pts[i] for i in extreme], den),
         tuple((a, bn, bd) for a, bn, bd, _ in rows),
         tuple(inc for *_, inc in rows),
         adim,
@@ -253,7 +257,7 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _canonical(nums: Sequence[tuple[int, ...]], den: int) -> tuple[IntMatrix, int]:
+def canonical(nums: Sequence[tuple[int, ...]], den: int) -> tuple[IntMatrix, int]:
     """The points nums / den with den made coprime to their entries."""
     g = gcd(den, *[x for v in nums for x in v])
     return tuple(tuple(x // g for x in v) for v in nums), den // g
@@ -272,7 +276,7 @@ def _moved(
         (a, *_lowest(*b)) for (a, _, _), b in zip(p.int_facets, offsets)
     )
     return Polytope(
-        p.dim, _canonical(nums, den), int_facets, p.incidences,
+        p.dim, canonical(nums, den), int_facets, p.incidences,
         p.affine_dim, p.int_basis,
     )
 
@@ -338,8 +342,18 @@ def int_image(a: IntMatrix, q: int, vertices: tuple[IntMatrix, int]) -> Polytope
     return _int_hull(len(a), images, q * den)
 
 
-def direct_sum_basis(parts: Sequence[tuple[Subspace, Polytope]]) -> Matrix:
-    """The stacked subspace bases M of direct-sum parts, checked.
+def stack_bases(spaces: Sequence[Subspace]) -> tuple[IntMatrix, int]:
+    """The basis rows of the subspaces, stacked, over one denominator."""
+    den = lcm(*[sp.int_basis[1] for sp in spaces])
+    return tuple(tuple(x * (den // d) for x in row)
+                 for rows, d in (sp.int_basis for sp in spaces) for row in rows), den
+
+
+def direct_sum_basis(
+    parts: Sequence[tuple[Subspace, Polytope]]
+) -> tuple[IntMatrix, int]:
+    """The stacked subspace bases M of direct-sum parts, checked, as integer
+    rows over one denominator.
 
     Each factor must be in its subspace's coordinates and the bases jointly
     independent; the direct sum is M^T applied to the factors' product.
@@ -347,16 +361,15 @@ def direct_sum_basis(parts: Sequence[tuple[Subspace, Polytope]]) -> Matrix:
     if not parts:
         raise ValueError("direct sum of no parts")
     n = parts[0][0].ambient_dim
-    stacked: list[Vector] = []
     for sp, factor in parts:
         if sp.ambient_dim != n:
             raise ValueError("direct sum parts have mixed ambient dimensions")
         if factor.dim != sp.dim:
             raise ValueError("factor is not in its subspace's coordinates")
-        stacked.extend(sp.basis)
-    if rank(matrix(stacked)) != len(stacked):
+    rows, den = stack_bases([sp for sp, _ in parts])
+    if kernels.int_rank(rows) != len(rows):
         raise ValueError("component subspaces are not jointly independent")
-    return tuple(stacked)
+    return rows, den
 
 
 def product_vertices(factors: Sequence[Polytope]) -> tuple[IntMatrix, int]:
@@ -378,8 +391,8 @@ def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
 
     The image of the factors' product under M^T; see direct_sum_basis.
     """
-    mt = to_ints(transpose(direct_sum_basis(parts)))
-    return int_image(*mt, product_vertices([f for _, f in parts]))
+    rows, den = direct_sum_basis(parts)
+    return int_image(tuple(zip(*rows)), den, product_vertices([f for _, f in parts]))
 
 
 def direct_sum(p: Polytope, q: Polytope, xi: Subspace, eta: Subspace) -> Polytope:
@@ -406,9 +419,10 @@ def apply_linear(p: Polytope, psi: Sequence[Sequence[object]]) -> Polytope:
     m = matrix(psi)
     if len(m) != p.dim or any(len(row) != p.dim for row in m):
         raise ValueError("transformation must be square of the ambient dimension")
-    if rank(m) != p.dim:
+    rows, den = to_ints(m)
+    if kernels.int_rank(rows) != p.dim:
         raise ValueError("transformation is singular")
-    return int_image(*to_ints(m), p.int_vertices)
+    return int_image(rows, den, p.int_vertices)
 
 
 def is_centrally_symmetric(p: Polytope) -> Vector | None:

@@ -32,6 +32,24 @@ def sy_inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def sy_coords(basis, x) -> tuple[Fraction, ...]:
+    """Coordinates (B B^T)^-1 B x of the orthogonal projection of x on the
+    row space of B, by sympy."""
+    b = sympy.Matrix([[sympy.Rational(y) for y in r] for r in basis])
+    c = (b * b.T).inv() * b * sympy.Matrix([sympy.Rational(y) for y in x])
+    return tuple(Fraction(int(y.p), int(y.q)) for y in c)
+
+
+def matvec(m, x) -> tuple[Fraction, ...]:
+    """M x in Fractions, for rows of ints or Fractions."""
+    return tuple(sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0))
+                 for row in m)
+
+
+def transpose(m) -> tuple[tuple, ...]:
+    return tuple(zip(*m))
+
+
 def sy_nullspace(rows) -> list[tuple[Fraction, ...]]:
     m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
     out = []

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import simplicial_families
+from oracles import matvec, simplicial_families
 from shadowcover.containment import (
     SubspaceSampler,
     certificate_valid,
@@ -26,8 +26,8 @@ from shadowcover.corpus import (
 )
 from shadowcover.counterexample import build_counterexample
 from shadowcover.decomposability import is_decomposable
-from shadowcover.kernels import int_nullspace
-from shadowcover.linalg import add, integerize, matrix, matvec, vector
+from shadowcover.kernels import int_nullspace, int_rank
+from shadowcover.linalg import add, integerize, matrix, vector
 from shadowcover.lp import Infeasible, Optimal, lp_problem, solve_lp, verify_outcome
 from shadowcover.polytope import (
     Subspace,
@@ -108,11 +108,9 @@ def _random_parallelotope(seed, n):
     cube = hull_from_vertices(
         [tuple(c) for c in __import__("itertools").product((-1, 1), repeat=n)]
     )
-    from shadowcover.linalg import rank as lrank
-
     while True:
         m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        if lrank(matrix(m)) == n:
+        if int_rank(m) == n:
             return apply_linear(cube, m)
 
 
@@ -246,9 +244,7 @@ def test_criterion_6_product_containment_equivalence():
             rows_pool.append(rows)
             offset += dpart
         stacked = [r for rows in rows_pool for r in rows]
-        from shadowcover.linalg import rank as lrank
-
-        if lrank(matrix(stacked)) != n:
+        if int_rank(stacked) != n:
             continue
         parts = []
         for rows, dpart in zip(rows_pool, split):
@@ -345,7 +341,7 @@ def test_criterion_8_linear_invariance_of_hyperplane_shadows():
 
 
 def _complement(u):
-    return Subspace(len(u), tuple(int_nullspace([integerize(u)], len(u))))
+    return Subspace(len(u), (tuple(int_nullspace([integerize(u)], len(u))), 1))
 
 
 def _shadow_fits(k, l, xi):
@@ -374,7 +370,7 @@ def test_criterion_9_embedding_invariance():
         stream = SubspaceSampler(13, 2).stream(3)
         for _ in range(25):
             xi = next(stream)
-            lifted = Subspace(4, matrix([row + (F(0),) for row in xi.basis]))
+            lifted = Subspace(4, (tuple(row + (0,) for row in xi.int_basis[0]), 1))
             assert _shadow_fits(k, l, xi) == _shadow_fits(ek, el, lifted)
 
     # passes persist for fresh subspaces of the larger space

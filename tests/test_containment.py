@@ -20,7 +20,8 @@ from shadowcover.containment import (
 from shadowcover.corpus import random_polytope
 from shadowcover.counterexample import build_S
 from shadowcover.kernels import int_nullspace, int_rank
-from shadowcover.linalg import integerize, matrix, matvec, vector
+from oracles import matvec
+from shadowcover.linalg import integerize, matrix, vector
 from shadowcover.polytope import (
     Subspace,
     apply_linear,
@@ -381,7 +382,7 @@ def test_hyperplane_shadow_invariance_under_linear_maps(case):
 
 
 def _complement(u):
-    return Subspace(len(u), tuple(int_nullspace([integerize(u)], len(u))))
+    return Subspace(len(u), (tuple(int_nullspace([integerize(u)], len(u))), 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -392,7 +393,7 @@ def test_embedding_preserves_shadow_verdicts(seed):
     stream = SubspaceSampler(seed, 2).stream(3)
     for _ in range(10):
         xi = next(stream)
-        lifted = Subspace(4, matrix([row + (F(0),) for row in xi.basis]))
+        lifted = Subspace(4, (tuple(row + (0,) for row in xi.int_basis[0]), 1))
         assert shadow_fits(k, l, xi) == shadow_fits(ek, el, lifted)
 
 
@@ -510,4 +511,72 @@ def test_shadow_reports_pinned_by_digest():
     text = "\n".join(repr(r) for r in reports + alphas)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "16b2ca94bc45ca7de96730ecf063e740916b653f4fb41863a9f8dbf66dd2f54f"
+    )
+
+
+def _flat_points(rng, origin, directions, count):
+    """count points origin + sum c_j u_j with small rational c_j."""
+    pts = []
+    for _ in range(count):
+        cs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in directions]
+        pts.append(tuple(o + sum((c * u[i] for c, u in zip(cs, directions)), F(0))
+                         for i, o in enumerate(origin)))
+    return pts
+
+
+def _pinned_flat_cases():
+    """Seeded flat covers L in R^3 and R^4 of every affine dimension 0..n-1,
+    each against a full K, a flat K whose directions lie in L's (moved off
+    L's affine hull, at a scale that may or may not fit) and a flat K with
+    a direction outside L's."""
+    import random
+
+    rng = random.Random("flat-pin")
+    for n in (3, 4):
+        for adim in range(n):
+            for _ in range(4):
+                while True:
+                    dirs = [tuple(rng.randint(-2, 2) for _ in range(n))
+                            for _ in range(adim)]
+                    if not dirs or int_rank(dirs) == adim:
+                        break
+                origin = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                l = hull_from_vertices(_flat_points(rng, origin, dirs, adim + 3))
+                full = random_polytope(rng.randint(0, 10**6), n, n + 2, 2)
+                yield scale_polytope(full, F(1, rng.randint(1, 6))), l
+                m = rng.randint(1, adim) if adim else 0
+                sub_dirs = []
+                for _ in range(m):
+                    cs = [rng.randint(-1, 1) for _ in dirs]
+                    sub_dirs.append(tuple(sum(c * u[i] for c, u in zip(cs, dirs))
+                                          for i in range(n)))
+                start = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                inside = hull_from_vertices(_flat_points(rng, start, sub_dirs, m + 2))
+                yield scale_polytope(inside, F(rng.randint(1, 4), rng.randint(2, 5))), l
+                off = [tuple(rng.randint(-2, 2) for _ in range(n))]
+                tilted = _flat_points(rng, start, off + sub_dirs, m + 3)
+                yield hull_from_vertices(tilted), l
+
+
+def test_flat_covers_pinned_by_digest():
+    """Witnesses, certificates, hull mismatches and maximal scales of
+    translate_fit and max_scale on 84 seeded flat covers, pinned by a digest
+    recorded while the flat-cover lift still ran in Fraction arithmetic."""
+    results = []
+    for k, l in _pinned_flat_cases():
+        verdict = translate_fit(k, l)
+        try:
+            scaled = max_scale(k, l)
+        except RuntimeError as exc:
+            scaled = str(exc)
+        results.append((l.dim, l.affine_dim, k.affine_dim, verdict, scaled))
+    assert {r[:2] for r in results} == {(n, a) for n in (3, 4) for a in range(n)}
+    verdicts = [r[3] for r in results]
+    assert sum(v.fits for v in verdicts) == 21
+    assert sum(v.hull_mismatch for v in verdicts) == 55
+    assert sum(v.certificate is not None for v in verdicts) == 8
+    assert sum(isinstance(r[4], str) for r in results) == 2
+    text = "\n".join(repr(r) for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "09f8b9bcd1135c8057503e19c6aed489d61dd193f250684350c34aae926d9bea"
     )

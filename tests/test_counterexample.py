@@ -4,7 +4,9 @@ import pytest
 
 from shadowcover import counterexample
 from shadowcover.containment import (
+    FarkasCertificate,
     SubspaceSampler,
+    certificate_valid,
     sampled_shadow_cover,
     translate_fit,
 )
@@ -13,7 +15,6 @@ from shadowcover.counterexample import (
     ReliableCoverError,
     build_S,
     build_counterexample,
-    family_certificate,
     verify_bundle,
 )
 from shadowcover.polytope import hull_from_vertices, scale_polytope
@@ -98,10 +99,10 @@ def test_margin_monotone(octahedron):
 def test_family_certificate_requires_scaling(octahedron):
     fam = octa_family(octahedron)
     s = build_S(octahedron, fam)
-    cert = family_certificate(octahedron, fam, s, F(9, 8))
-    assert set(i for i, _ in cert.multipliers) == set(fam.members)
-    with pytest.raises(AssertionError):
-        family_certificate(octahedron, fam, s, F(1))  # S itself still fits
+    cert = FarkasCertificate(tuple(zip(fam.members, fam.coefficients)))
+    assert certificate_valid(scale_polytope(s, F(9, 8)), octahedron, cert)
+    # S itself still fits
+    assert not certificate_valid(scale_polytope(s, F(1)), octahedron, cert)
 
 
 def test_bundle_end_to_end(octahedron):

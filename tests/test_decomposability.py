@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import circuit_components, sy_inverse
+from oracles import circuit_components, sy_inverse, transpose
 from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
 from shadowcover.decomposability import extract_factors, is_decomposable
 from shadowcover.kernels import int_rank
-from shadowcover.linalg import integerize, matrix, transpose
+from shadowcover.linalg import integerize, matrix
 from shadowcover.polytope import (
     apply_linear,
     direct_sum_assemble,

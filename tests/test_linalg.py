@@ -5,36 +5,39 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sy_inverse, sy_nullspace, sy_rank
-from shadowcover.kernels import int_dot, int_nullspace
-from shadowcover.linalg import coordinate_map, integerize, matrix, matvec, rank, vector
-from shadowcover.polytope import Subspace
+from oracles import matvec, sy_inverse, sy_nullspace, sy_rank, transpose
+from shadowcover.kernels import int_dot, int_nullspace, int_rank
+from shadowcover.linalg import coordinate_map, integerize, matrix, to_ints, vector
+from shadowcover.polytope import subspace
 
 F = Fraction
 
 
 def identity(n):
-    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def projector(rows):
-    """Matrix of x -> lift(coords_of(x)), orthogonal projection onto the rows."""
-    xi = Subspace(len(rows[0]), matrix(rows))
-    # the projection is symmetric, so the images of the unit vectors are its rows
-    return tuple(xi.lift(xi.coords_of(e)) for e in identity(xi.ambient_dim))
+    """Matrix of x -> B^T A x / q, the orthogonal projection onto the rows B
+    through their coordinate map A / q."""
+    xi = subspace(len(rows[0]), rows)
+    a, q = xi.coord_map
+    # the projection is symmetric, so the images of the unit vectors are its
+    # rows; A e_j is column j of A
+    return tuple(matvec(transpose(xi.basis), [F(x, q) for x in col]) for col in zip(*a))
 
 
 def test_rank_identity():
-    assert rank(identity(3)) == 3
+    assert int_rank(identity(3)) == 3
 
 
 def test_rank_three_rows_of_four():
-    m = matrix([(1, 1, 0, 0), (0, 0, 1, 1), (-1, 0, 0, -1)])
-    assert rank(m) == 3
+    m = [(1, 1, 0, 0), (0, 0, 1, 1), (-1, 0, 0, -1)]
+    assert int_rank(m) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(matrix([(0, 0), (0, 0)])) == 0
+    assert int_rank([(0, 0), (0, 0)]) == 0
 
 
 def test_nullspace_identity_empty():
@@ -91,14 +94,14 @@ def int_matrices(draw, max_rows=5, max_cols=5):
 @given(int_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_sympy(rows):
-    assert rank(rows) == rank(matrix(rows)) == sy_rank(rows)
+    assert int_rank(rows) == sy_rank(rows)
 
 
 @given(int_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_nullity_and_exactness(rows):
     basis = int_nullspace(rows, len(rows[0]))
-    assert rank(rows) + len(basis) == len(rows[0])
+    assert int_rank(rows) + len(basis) == len(rows[0])
     for v in basis:
         assert not any(int_dot(row, v) for row in rows)
     assert len(basis) == len(sy_nullspace(rows))
@@ -107,24 +110,21 @@ def test_rank_nullity_and_exactness(rows):
 @given(int_matrices(max_rows=3, max_cols=4))
 @settings(max_examples=60, deadline=None)
 def test_projector_identities(rows):
-    m = matrix(rows)
-    if rank(m) != len(rows):
+    if int_rank(rows) != len(rows):
         return
-    p = projector(m)
+    p = projector(rows)
     n = len(rows[0])
     # idempotent, symmetric, fixes the basis rows
-    from shadowcover.linalg import transpose
-
     assert all(matvec(p, matvec(p, e)) == matvec(p, e) for e in identity(n))
     assert transpose(p) == p
-    for row in m:
+    for row in rows:
         assert matvec(p, row) == vector(row)
 
 
 def test_determinism_bit_for_bit():
     m = [(3, 1, 4), (1, 5, 9), (2, 6, 5)]
     assert int_nullspace(m, 3) == int_nullspace(m, 3)
-    assert rank(matrix(m)) == rank(matrix(m)) == 3
+    assert int_rank(m) == int_rank(m) == 3
 
 
 @st.composite
@@ -142,16 +142,20 @@ def rational_bases(draw):
     return rows
 
 
-@given(rational_bases())
+@given(rational_bases(), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_coordinate_map_matches_sympy(rows):
+def test_coordinate_map_matches_sympy(rows, c):
     b = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                       for r in rows])
+    # the rows as integers over a denominator, which c makes not coprime
+    ints, den = to_ints(rows)
+    ints = [[c * x for x in r] for r in ints]
+    den *= c
     if b.rank() < len(rows):
         with pytest.raises(ValueError):
-            coordinate_map(rows)
+            coordinate_map(ints, den)
         return
-    a, q = coordinate_map(rows)
+    a, q = coordinate_map(ints, den)
     assert q > 0 and all(type(x) is int for row in a for x in row)
     expected = (b * b.T).inv() * b
     assert [[F(x, q) for x in row] for row in a] == [
@@ -163,8 +167,8 @@ def test_coordinate_map_matches_sympy(rows):
 
 def test_coordinate_map_rejects_dependent_rows():
     with pytest.raises(ValueError):
-        coordinate_map(matrix([(1, F(1, 2), 3), (2, 1, 6)]))
+        coordinate_map(((2, 1, 6), (2, 1, 6)), 2)
     with pytest.raises(ValueError):
-        coordinate_map(matrix([(1, 0, 0), (0, 0, 0)]))
+        coordinate_map(((1, 0, 0), (0, 0, 0)), 1)
     with pytest.raises(ValueError, match="singular matrix"):
-        coordinate_map(matrix([(1, 2), (F(1, 2), 1)]))
+        coordinate_map(((2, 4), (1, 2)), 2)

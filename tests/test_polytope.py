@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hrep_vertices, sy_inverse
+from oracles import hrep_vertices, matvec, sy_coords, sy_inverse, sy_rank, transpose
 from shadowcover.corpus import random_polytope, random_symmetric_polytope
-from shadowcover.linalg import add, dot, matvec, rank, transpose, vector
+from shadowcover.linalg import add, dot, vector
 from shadowcover.polytope import (
+    Subspace,
     apply_linear,
     direct_sum,
     embed,
@@ -82,6 +83,49 @@ def test_support_values(pyramid):
     assert sq.support((1, 1)) == 2
     assert pyramid.support((1, 0, 1)) == 1
     assert pyramid.support((0, 0, 0)) == 0
+
+
+def test_subspace_forms_compare_equal():
+    rows = [(2, -1, 0), (0, 3, 4)]
+    forms = [subspace(3, rows), subspace(3, [[F(x) for x in r] for r in rows]),
+             Subspace(3, (tuple(rows), 1))]
+    assert forms[0] == forms[1] == forms[2]
+    assert len({hash(xi) for xi in forms}) == 1
+    assert forms[1].int_basis == (tuple(rows), 1)
+
+
+def test_subspace_basis_round_trips_over_common_denominator():
+    rows = ((F(1, 2), F(-3, 4), F(0)), (F(5, 6), F(1), F(1, 3)))
+    xi = subspace(3, rows)
+    assert xi.int_basis == (((6, -9, 0), (10, 12, 4)), 12)
+    assert xi.basis == rows and xi.dim == 2
+    assert Subspace(3, xi.int_basis).basis == rows
+    assert repr(xi) == f"Subspace(ambient_dim=3, basis={rows!r})"
+    # a denominator may share a factor with some entries, not with all
+    assert Subspace(2, (((2, 3),), 2)).basis == ((F(1), F(3, 2)),)
+
+
+@pytest.mark.parametrize("int_basis, message", [
+    ((((1, 0),), 0), "denominator must be positive"),
+    ((((1, 0),), -1), "denominator must be positive"),
+    ((((2, 4), (0, 6)), 2), "coprime"),
+    (((), 1), "at least one basis row"),
+    ((((1, 0), (0, 1, 0)), 1), "ambient dimension"),
+    ((((1, 2), (2, 4)), 1), "dependent"),
+    ((((0, 0),), 1), "dependent"),
+])
+def test_subspace_rejects_bad_bases(int_basis, message):
+    with pytest.raises(ValueError, match=message):
+        Subspace(2, int_basis)
+
+
+def test_subspace_constructor_rejects_bad_rows():
+    with pytest.raises(ValueError, match="at least one basis row"):
+        subspace(2, [])
+    with pytest.raises(ValueError):
+        subspace(2, [(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="dependent"):
+        subspace(2, [(F(1, 2), 1), (1, 2)])
 
 
 def test_project_cube_to_square(cube3):
@@ -287,7 +331,7 @@ def test_project_commutes_with_translation(random_body):
     xi = subspace(n, [[1] * n, [1 if j == 0 else -1 for j in range(n)]][: n - 1] or [[1] * n])
     t = tuple(range(1, n + 1))
     lhs = project(translate(p, t), xi)
-    rhs = translate(project(p, xi), xi.coords_of(vector(t)))
+    rhs = translate(project(p, xi), sy_coords(xi.basis, t))
     assert lhs == rhs
 
 
@@ -394,7 +438,7 @@ def test_project_matches_hull_of_gram_coordinates(n):
             while True:
                 rows = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
                         for _ in range(d)]
-                if rank(rows) == d:
+                if sy_rank(rows) == d:
                     break
             xi = subspace(n, rows)
             g = sy_inverse([[dot(r, s) for s in xi.basis] for r in xi.basis])

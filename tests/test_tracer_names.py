@@ -3,16 +3,22 @@
 Renaming or deleting one of them would silently drop a per-layer metric, so
 every traced name must resolve to a callable in the package.  The benchmark
 scripts read more names of the package than the tracer wraps; each of those
-must resolve too, or a deletion breaks the benchmark unnoticed.
+must resolve too, and each call they make into the package must bind to the
+callee's signature, or a deletion or a signature change breaks the benchmark
+unnoticed.  The package itself holds no ``assert`` statement, so that every
+witness check still runs under ``python -O``.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+SCRIPTS = ("workloads.py", "run.py", "check_counts.py")
 
 
 def _tracing():
@@ -33,13 +39,10 @@ def test_traced_names_resolve_to_callables():
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
 
 
-def _package_references(path):
-    """(module, name) for every ``module.name`` a script reads, where module
-    is the package or a submodule it imported from the package, and for
-    every name it imports from the package."""
-    tree = ast.parse(path.read_text())
+def _package_bindings(tree):
+    """The names a script binds to the package, or to a submodule it
+    imports from the package, mapped to the module's name."""
     bound = {}
-    refs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -48,17 +51,40 @@ def _package_references(path):
         elif isinstance(node, ast.ImportFrom) and node.module == "shadowcover":
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"shadowcover.{alias.name}"
-                refs.add(("shadowcover", alias.name))
+    return bound
+
+
+def _package_references(path):
+    """(module, name) for every ``module.name`` a script reads, where module
+    is the package or a submodule it imported from the package, and for
+    every name it imports from the package."""
+    tree = ast.parse(path.read_text())
+    bound = _package_bindings(tree)
+    refs = set()
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if isinstance(node, ast.ImportFrom) and node.module == "shadowcover":
+            refs |= {("shadowcover", alias.name) for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in bound):
             refs.add((bound[node.value.id], node.attr))
     return refs
 
 
+def _package_calls(path):
+    """(module, ast.Call) for every call ``module.name(...)`` a script
+    makes, where module is bound to the package or one of its modules."""
+    tree = ast.parse(path.read_text())
+    bound = _package_bindings(tree)
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id in bound):
+            yield bound[func.value.id], node
+
+
 def test_benchmark_references_resolve():
     refs = set()
-    for script in ("workloads.py", "run.py", "check_counts.py"):
+    for script in SCRIPTS:
         refs |= _package_references(PERFBENCH / script)
     assert {
         ("shadowcover.linalg", "integerize"),
@@ -75,3 +101,35 @@ def test_benchmark_references_resolve():
     # read off a DirectionSet, which the walk above cannot type
     reliability = importlib.import_module("shadowcover.reliability")
     assert callable(reliability.DirectionSet.integer_directions)
+
+
+def test_benchmark_calls_bind_to_signatures():
+    """Every ``module.name(...)`` call of the benchmark scripts binds to the
+    callee's signature, by its positional-argument count and keyword names."""
+    checked = 0
+    for script in SCRIPTS:
+        for mod_name, call in _package_calls(PERFBENCH / script):
+            target = getattr(importlib.import_module(mod_name), call.func.attr)
+            args = [None] * sum(not isinstance(a, ast.Starred) for a in call.args)
+            kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+            sig = inspect.signature(target)
+            # a starred argument hides its count, so only a partial binding holds
+            starred = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+            try:
+                (sig.bind_partial if starred else sig.bind)(*args, **kwargs)
+            except TypeError as exc:
+                raise AssertionError(
+                    f"{script}:{call.lineno}: {ast.unparse(call.func)}: {exc}"
+                ) from None
+            checked += 1
+    assert checked >= 40
+
+
+def test_package_has_no_assert_statements():
+    """Witness checks raise explicitly; an ``assert`` would vanish under -O."""
+    found = []
+    for path in sorted((ROOT / "src" / "shadowcover").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
