@@ -51,7 +51,9 @@ from .polytope import (
     project,
     vector_area_check,
 )
-from .reliability import DirectionSet, facet_direction_set, is_reliable, search_space
+from .reliability import (
+    DirectionSet, facet_direction_set, family_search_space, is_reliable,
+)
 from . import corpus as corpus_mod
 from . import selftest as selftest_mod
 
@@ -64,32 +66,22 @@ def _vec(v) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def _emit(report: dict, fmt: str, lines: list[str]) -> None:
-    if fmt == "json":
-        sys.stdout.write(dumps_canonical(report))
-    else:
+def _emit(args, command: str, keys: list[str], result: dict, lines) -> None:
+    """Print the text lines, or with --format json the report: the result
+    and the run configuration, the arguments named by keys."""
+    if args.format != "json":
         for line in lines:
             print(line)
-
-
-def _config(args, keys: list[str]) -> dict:
-    out = {}
-    for k in keys:
-        val = getattr(args, k.replace("-", "_"))
-        if isinstance(val, Fraction):
-            val = format_rational(val)
-        out[k] = val
-    return out
-
-
-def _report(args, command: str, config_keys: list[str], result: dict) -> dict:
-    return {
+        return
+    config = {k: getattr(args, k.replace("-", "_")) for k in keys}
+    sys.stdout.write(dumps_canonical({
         "tool": "shadowcover",
         "version": __version__,
         "command": command,
-        "config": _config(args, config_keys),
+        "config": {k: _fr(v) if isinstance(v, Fraction) else v
+                   for k, v in config.items()},
         "result": result,
-    }
+    }))
 
 
 def _poly_summary(p: Polytope) -> dict:
@@ -173,17 +165,17 @@ def cmd_validate(args) -> int:
         *notes,
         "PASS" if passed else "FAIL",
     ]
-    _emit(_report(args, "validate", ["file", "format"], result), args.format, lines)
+    _emit(args, "validate", ["file", "format"], result, lines)
     return 0 if passed else 1
 
 
 def cmd_reliability(args) -> int:
     body = load_body(args.file)
     a = body if isinstance(body, DirectionSet) else facet_direction_set(body)
-    # checked before search_space, which cannot size a search for d < 1
+    # checked before family_search_space, which cannot size a search for d < 1
     if not 1 <= args.d <= a.dim - 1:
         raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
-    space = search_space(len(a.directions), a.rank(), args.d + 2)
+    space = family_search_space(a, args.d)
     if space > 10**7:
         print(
             f"warning: family search ranges over {space} subsets; "
@@ -219,11 +211,7 @@ def cmd_reliability(args) -> int:
             )
             + " = 0"
         )
-    _emit(
-        _report(args, "reliability", ["file", "d", "format"], result),
-        args.format,
-        lines,
-    )
+    _emit(args, "reliability", ["file", "d", "format"], result, lines)
     return 0 if verdict.reliable else 1
 
 
@@ -282,11 +270,7 @@ def cmd_decompose(args) -> int:
         lines.append(
             f"{args.d}-decomposable: {'yes' if report.decomposable_at(args.d) else 'no'}"
         )
-    _emit(
-        _report(args, "decompose", ["file", "d", "affine", "format"], result),
-        args.format,
-        lines,
-    )
+    _emit(args, "decompose", ["file", "d", "affine", "format"], result, lines)
     if args.d:
         return 0 if report.decomposable_at(args.d) else 1
     return 0
@@ -307,11 +291,7 @@ def cmd_contain(args) -> int:
     else:
         lines.append("NO FIT: Farkas certificate over facets "
                      f"{[i for i, _ in verdict.certificate.multipliers]}")
-    _emit(
-        _report(args, "contain", ["file_k", "file_l", "format"], result),
-        args.format,
-        lines,
-    )
+    _emit(args, "contain", ["file_k", "file_l", "format"], result, lines)
     return 0 if verdict.fits else 1
 
 
@@ -327,16 +307,8 @@ def cmd_shadow_cover(args) -> int:
     ]
     if report.failed_trial is not None:
         lines.append(f"first failure at trial {report.failed_trial}")
-    _emit(
-        _report(
-            args,
-            "shadow-cover",
-            ["file_k", "file_l", "d", "seed", "trials", "bound", "format"],
-            result,
-        ),
-        args.format,
-        lines,
-    )
+    keys = ["file_k", "file_l", "d", "seed", "trials", "bound", "format"]
+    _emit(args, "shadow-cover", keys, result, lines)
     return 0 if report.all_passed else 1
 
 
@@ -371,28 +343,16 @@ def cmd_counterexample(args) -> int:
     ]
     if args.out:
         lines.append(f"bundle written to {args.out}")
-    _emit(
-        _report(
-            args,
-            "counterexample",
-            ["file_l", "d", "seed", "trials", "margin", "bound",
-             "verify_trials", "out", "format"],
-            result,
-        ),
-        args.format,
-        lines,
-    )
+    keys = ["file_l", "d", "seed", "trials", "margin", "bound", "verify_trials",
+            "out", "format"]
+    _emit(args, "counterexample", keys, result, lines)
     return 0
 
 
 def cmd_corpus(args) -> int:
     if not args.name:
-        result = {"names": corpus_mod.names()}
-        _emit(
-            _report(args, "corpus", ["format"], result),
-            args.format,
-            corpus_mod.names(),
-        )
+        _emit(args, "corpus", ["format"], {"names": corpus_mod.names()},
+              corpus_mod.names())
         return 0
     body = corpus_mod.named(args.name)
     doc = (

@@ -160,14 +160,13 @@ def _frame(l: Polytope):
     the integer row B a for L's integer basis rows B, and an LP point c
     lifts to o + B^T (c - A o / q), with A / q the coordinate map of B and
     o the offset from the first vertex of the body being fitted to L's,
-    whose part perpendicular to B carries the body into L's affine hull.
-    A full-dimensional L keeps its normals and lifts c to itself.
+    whose part perpendicular to B carries the body into L's affine hull;
+    all but o is cached on L.  A full-dimensional L keeps its normals and
+    lifts c to itself.
     """
     if l.is_full_dimensional:
         return [a for a, _, _ in l.int_facets], lambda c, body: c
-    basis = l.int_basis
-    coords, q = Subspace(l.dim, (basis, 1)).coord_map
-    columns = tuple(zip(*basis))
+    normals, coords, q, columns = l.affine_frame
 
     def lift(c: Vector, body: Polytope) -> Vector:
         # with L's vertices Y / E, the body's X / D and c = cn / cd:
@@ -181,7 +180,7 @@ def _frame(l: Polytope):
         return tuple(Fraction(cd * q * x + int_dot(col, t), cd * q * od)
                      for x, col in zip(o, columns))
 
-    return [tuple(int_dot(b, a) for b in basis) for a, _, _ in l.int_facets], lift
+    return normals, lift
 
 
 def translate_fit(k: Polytope, l: Polytope) -> ContainmentVerdict:

@@ -8,10 +8,9 @@ d-decomposable exactly when every group spans dimension at most d.
 
 The finest grouping is the connectivity decomposition of the normal
 configuration: two normals belong together when some minimal linear
-dependency (circuit) contains both.  It suffices to chase the fundamental
-circuits read off a single reduced echelon form — the supports of a
-nullspace basis — and close under union-find; the test suite cross-checks
-this against a union of every circuit found by subset enumeration.
+dependency (circuit) contains both.  ``reliability._components`` computes
+it, for the family search as well; the test suite cross-checks it against
+a union of every circuit found by subset enumeration.
 
 Factor extraction maps the body's integer vertex numerators by M, the
 stacked component bases, which turns the components into coordinate blocks;
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .kernels import int_dot, int_echelon, int_nullspace, int_rank
+from .kernels import int_dot, int_rank
 from .linalg import coordinate_map
 from .polytope import (
     Polytope,
@@ -36,7 +35,7 @@ from .polytope import (
     product_vertices,
     stack_bases,
 )
-from .reliability import DirectionSet, facet_direction_set
+from .reliability import DirectionSet, _components, facet_direction_set
 
 
 @dataclass(frozen=True)
@@ -65,45 +64,15 @@ class DecompositionReport:
 
 def _components_of(a: DirectionSet) -> list[Component]:
     dirs = a.integer_directions()
-    m = len(dirs)
     n = a.dim
     if int_rank(dirs) != n:
         raise ValueError(
             "directions do not span the space (body unbounded or lower-dimensional)"
         )
-    # dependencies = nullspace of the matrix with the directions as columns;
-    # each basis vector's support is a fundamental circuit
-    coord_rows = [tuple(dirs[j][i] for j in range(m)) for i in range(n)]
-    deps = int_nullspace(coord_rows, m)
-
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for dep in deps:
-        support = [j for j, c in enumerate(dep) if c]
-        for j in support[1:]:
-            union(support[0], j)
-
-    groups: dict[int, list[int]] = {}
-    for j in range(m):
-        groups.setdefault(find(j), []).append(j)
-
-    comps = []
-    for root in sorted(groups):
-        members = tuple(sorted(groups[root]))
-        basis = int_echelon([dirs[j] for j in members])
-        comps.append(Component(Subspace(n, (tuple(basis), 1)), members))
-
+    comps = [
+        Component(Subspace(n, (tuple(basis), 1)), members)
+        for members, basis in _components(dirs)
+    ]
     total = sum(c.subspace.dim for c in comps)
     stacked = [r for c in comps for r in c.subspace.int_basis[0]]
     if total != n or int_rank(stacked) != n:

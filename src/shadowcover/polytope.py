@@ -149,6 +149,17 @@ class Polytope:
     def affine_basis(self) -> Matrix:
         return matrix(self.int_basis)
 
+    @cached_property
+    def affine_frame(self) -> tuple[IntMatrix, IntMatrix, int, IntMatrix]:
+        """(N, A, q, B^T) for the integer basis rows B of the affine hull: the
+        facet normals a as rows B a, the coordinate map A / q of B, and B's
+        columns.  Built on first use; flat covers fit in these coordinates."""
+        basis = self.int_basis
+        normals = tuple(
+            tuple(int_dot(b, a) for b in basis) for a, _, _ in self.int_facets
+        )
+        return (normals, *linalg.coordinate_map(basis, 1), tuple(zip(*basis)))
+
     def __repr__(self) -> str:
         # the text of the Fraction form, which digests of bodies have pinned
         names = ("dim", "vertices", "facets", "affine_dim", "affine_basis")

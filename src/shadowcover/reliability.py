@@ -12,6 +12,12 @@ over independent prefixes (``kernels.circuits``) stops at the first family
 of size d+2 to rank+1, or proves that none exists, and every returned family
 carries its verifiable positive dependency.
 
+The search runs per normal component.  A circuit of vectors in a direct sum
+V1 + ... + Vk lies in one summand, so every family lies inside one connected
+group of the normal configuration (``_components``, which decomposability
+reads too), and a component of rank at most d holds no family of size d+2;
+only components of rank >= d+1 are searched, each on its own directions.
+
 All checks are invariant under positive rescaling of individual directions,
 which is why unnormalised integer direction vectors can stand in for unit
 normals throughout.
@@ -24,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .kernels import circuits, int_rank
+from .kernels import circuits, int_echelon, int_nullspace, int_rank
 from .linalg import Vector, integerize, vector
 from .polytope import Polytope, hull_from_vertices, translate_of
 
@@ -61,9 +67,6 @@ class DirectionSet:
     def integer_directions(self) -> tuple[tuple[int, ...], ...]:
         """The content-reduced integer rows, one per direction."""
         return self._rows
-
-    def rank(self) -> int:
-        return int_rank(self._rows)
 
 
 def direction_set(dim: int, dirs: Iterable[Sequence[object]]) -> DirectionSet:
@@ -143,32 +146,68 @@ def search_space(num_directions: int, rank: int, min_size: int) -> int:
     )
 
 
+def family_search_space(a: DirectionSet, d: int) -> int:
+    """Subsets that is_reliable(a, d) ranges over, at most: search_space per
+    normal component of rank >= d+1."""
+    comps = _components(a.integer_directions())
+    return sum(search_space(len(m), len(b), d + 2) for m, b in comps if len(b) > d)
+
+
+def _components(dirs: Sequence[tuple[int, ...]]) -> list:
+    """The normal components, as (members, echelon basis of their span).
+
+    Two directions belong together when some circuit holds both.  It
+    suffices to merge the supports of one nullspace basis of the matrix with
+    the directions as columns (the fundamental circuits of one reduced
+    echelon form).  Members increase; components come by first member.
+    """
+    supports = [
+        {j for j, c in enumerate(dep) if c}
+        for dep in int_nullspace(list(zip(*dirs)), len(dirs))
+    ]
+    groups: list[set[int]] = []
+    for s in supports + [{j} for j in range(len(dirs))]:
+        touching = [g for g in groups if g & s]
+        groups = [g for g in groups if not g & s] + [s.union(*touching)]
+    members = sorted(tuple(sorted(g)) for g in groups)
+    return [(m, int_echelon([dirs[j] for j in m])) for m in members]
+
+
 def is_reliable(body: Polytope | DirectionSet, d: int) -> ReliabilityVerdict:
     """Decide whether the body is a d-reliable cover.
 
     Reliable exactly when no simplicial family of size >= d+2 exists among
     the facet normals (for a polytope, the normals are taken inside the
     affine hull).  When unreliable, the certificate is the smallest family,
-    ties broken lexicographically on member indices.
+    ties broken lexicographically on member indices.  The search runs only
+    inside the normal components of rank >= d+1, each on its own directions
+    in index order; the certificate is the least (size, members) over them.
     """
     a = body if isinstance(body, DirectionSet) else facet_direction_set(body)
     n = a.dim
     if not 1 <= d <= n - 1:
         raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
     dirs = a.integer_directions()
-    max_size = a.rank() + 1
-    # one existence scan over all sizes; only an unreliable verdict needs the
-    # follow-up per-size scans to pin down the smallest certificate
-    hit = circuits(dirs, d + 2, max_size)
-    if not hit:
+    best = None
+    for members, basis in _components(dirs):
+        if len(basis) <= d:
+            continue
+        rows = [dirs[j] for j in members]
+        # one existence scan up to the best size so far; only a hit needs the
+        # follow-up per-size scans to pin down the smallest family
+        cap = min(len(basis) + 1, len(best[0]) if best else n + 1)
+        hit = circuits(rows, d + 2, cap)
+        for size in range(d + 2, len(hit[0][0]) if hit else 0):
+            smaller = circuits(rows, size, size)
+            if smaller:
+                hit = smaller
+                break
+        if hit:
+            fam = (tuple(members[i] for i in hit[0][0]), hit[0][1])
+            best = min(best or fam, fam, key=lambda f: (len(f[0]), f[0]))
+    if best is None:
         return ReliabilityVerdict(True, d, None, a)
-    found_size = len(hit[0][0])
-    for size in range(d + 2, found_size):
-        smaller = circuits(dirs, size, size)
-        if smaller:
-            hit = smaller
-            break
-    family = _family(a, *hit[0])
+    family = _family(a, *best)
     # an explicit raise rather than ``assert``, so it still runs under -O
     if not family_valid(a, family):
         raise AssertionError("simplicial family failed exact re-verification")

@@ -12,7 +12,7 @@ from .corpus import named, names, random_polytope
 from .counterexample import build_counterexample, verify_bundle
 from .decomposability import is_decomposable
 from .polytope import Polytope, hull_from_vertices, vector_area_check
-from .reliability import is_reliable, parallelotope_check
+from .reliability import direction_set, family_valid, is_reliable, parallelotope_check
 
 
 def _check(label: str, ok: bool, results: list[bool]) -> None:
@@ -47,6 +47,26 @@ def run_selftest() -> bool:
     )
     okdims = is_decomposable(q, 3)[1].dims() == (4,)
     _check("12-direction set: single 4-dimensional component", okdims, results)
+
+    # one normal component per polygon, each of rank 2: none is searched at d=2
+    polygons = [named(n) for n in ("hexagon", "cube-2", "standard-simplex-2")]
+    summed = direction_set(6, [
+        (0,) * (2 * i) + a + (0,) * (4 - 2 * i)
+        for i, p in enumerate(polygons) for a, _, _ in p.int_facets
+    ])
+    _check("three-polygon direct sum in R^6: 2-reliable",
+           is_reliable(summed, 2).reliable, results)
+    # components {0, 2} of rank 1 and {1, 3, 4} of rank 2, holding the family
+    split = direction_set(
+        3, [(0, 0, 1), (1, 0, 0), (0, 0, -1), (0, 1, 0), (-1, -1, 0)]
+    )
+    vs = is_reliable(split, 1)
+    _check(
+        "decomposable, not 1-reliable: certificate lifted from its component",
+        is_decomposable(split, 2)[0] and not vs.reliable
+        and vs.certificate.members == (1, 3, 4) and family_valid(split, vs.certificate),
+        results,
+    )
 
     corpus: list[Polytope] = [
         body for body in (named(n) for n in names()) if isinstance(body, Polytope)

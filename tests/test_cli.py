@@ -390,7 +390,10 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
 
 def test_rational_direction_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
     """reliability and decompose JSON on rational, unreduced directions, pinned
-    by a digest recorded while components still held Fraction basis rows."""
+    by a digest recorded while components still held Fraction basis rows,
+    then re-pinned when ``search_space`` came to count subsets per normal
+    component: components {0, 1, 2} of rank 2 and {3, 4} of rank 1 at d = 1
+    range over one subset, not the 15 of all five directions."""
     import hashlib
 
     monkeypatch.chdir(tmp_path)
@@ -405,5 +408,5 @@ def test_rational_direction_reports_pinned_by_digest(capsys, tmp_path, monkeypat
         code, out, _ = run(capsys, *argv, "--format", "json")
         text.append(f"{' '.join(argv)} -> {code}\n{out}")
     assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-        "1c6ae6d41c9d1b26529cfc7e8eaeef534eb30472f73d9a1f315b0f423c8ed92a"
+        "7fcfecb46fa67226f5f0a96319227fbf112c4f0c33d596f033dd435fda69055b"
     )

@@ -132,6 +132,31 @@ def test_flat_cover_fit_needs_in_plane_translation():
     assert alpha == 2 and fits_exactly(scale_polytope(k, 2), l, w)
 
 
+def test_flat_cover_frame_built_once(monkeypatch):
+    """L's affine-hull frame is cached on L: repeated fits of moved and
+    scaled bodies into one flat cover build one coordinate map."""
+    from shadowcover import linalg
+
+    l = hull_from_vertices([(0, 0, 1), (4, 0, 5), (0, 1, 3), (4, 1, 7)])
+    k = hull_from_vertices([(10, 3, 17), (12, 3, 19)])
+    calls = []
+    real = linalg.coordinate_map
+
+    def counting(rows, den):
+        calls.append(rows)
+        return real(rows, den)
+
+    monkeypatch.setattr(linalg, "coordinate_map", counting)
+    for step in range(3):
+        moved = translate(scale_polytope(k, F(1, step + 1)), (step, -step, 0))
+        v = translate_fit(moved, l)
+        assert v.fits and fits_exactly(moved, l, v.witness)
+        alpha, w = max_scale(moved, l)
+        assert alpha == 2 * (step + 1)
+        assert fits_exactly(scale_polytope(moved, alpha), l, w)
+    assert calls == [l.int_basis]
+
+
 def test_max_scale_identity(cube3):
     alpha, _ = max_scale(cube3, cube3)
     assert alpha == 1

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import primitive, simplicial_families
-from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
-from shadowcover.polytope import apply_linear, embed
+from shadowcover import reliability
+from shadowcover.corpus import named, names, random_polytope, random_symmetric_polytope
+from shadowcover.kernels import int_rank
+from shadowcover.linalg import integerize
+from shadowcover.polytope import Polytope, apply_linear, embed, translate
 from shadowcover.reliability import (
     SimplicialFamily,
     direction_set,
@@ -225,3 +229,152 @@ def test_search_space_counts():
     # families of size m span m-1 dimensions, so m <= rank+1
     assert search_space(12, 4, 5) == 792
     assert search_space(5, 3, 3) == 10 + 5
+
+
+def _block_directions(rng, n, span):
+    """Random directions in blocks of the first span coordinates, mixed by
+    an invertible integer map (which keeps the normal components), with
+    some antipodal pairs.  span < n gives a non-spanning set."""
+    dirs = {}
+    start = 0
+    while start < span:
+        k = rng.randint(1, min(3, span - start))
+        block = []
+        while len(block) < k + rng.randint(1, 2):
+            u = [0] * n
+            for i in range(start, start + k):
+                u[i] = rng.randint(-2, 2)
+            if any(u):
+                block.append(tuple(u))
+        if rng.random() < 0.5:
+            block.append(tuple(-x for x in block[0]))
+        for u in block:
+            dirs.setdefault(integerize(u), u)
+        start += k
+    while True:
+        mix = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        if int_rank(mix) == n:
+            break
+    rows = [tuple(sum(m * x for m, x in zip(row, u)) for row in mix)
+            for u in dirs.values()]
+    rng.shuffle(rows)
+    return direction_set(n, rows)
+
+
+def _agrees_with_oracle_at_every_d(a):
+    """is_reliable's verdict and certificate (members and coefficients) at
+    every valid d are the subset oracle's smallest, first family."""
+    fams = simplicial_families(a.directions, 3)
+    for d in range(1, a.dim):
+        expected = min((f for f in fams if len(f[0]) >= d + 2),
+                       key=lambda f: (len(f[0]), f[0]), default=None)
+        verdict = is_reliable(a, d)
+        if expected is None:
+            assert verdict.reliable and verdict.certificate is None, d
+            continue
+        fam = verdict.certificate
+        assert not verdict.reliable, d
+        assert (fam.members, primitive(fam.coefficients)) == expected, d
+        assert family_valid(a, fam)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_component_search_matches_oracle_on_block_sets(n):
+    rng = random.Random(f"blocks-{n}")
+    for _ in range(3):
+        a = _block_directions(rng, n, n)
+        assert a.dim == n and int_rank(a.integer_directions()) == n
+        _agrees_with_oracle_at_every_d(a)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_component_search_matches_oracle_on_non_spanning_sets(n):
+    rng = random.Random(f"flat-blocks-{n}")
+    for _ in range(2):
+        a = _block_directions(rng, n, rng.randint(1, n - 1))
+        assert int_rank(a.integer_directions()) < n
+        _agrees_with_oracle_at_every_d(a)
+
+
+def test_component_search_matches_oracle_on_antipodal_pairs():
+    # three antipodal pairs (components of rank 1) and a square's normals
+    a = direction_set(4, [(0, 0, 1, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 1, 0, 0),
+                          (0, 0, 0, 1), (-1, 0, 0, 0), (0, 0, 0, -1), (0, -1, 0, 0)])
+    _agrees_with_oracle_at_every_d(a)
+    # the pairs of a cross-polytope-like set, tied into one component
+    b = direction_set(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1),
+                          (-1, -1, -1), (0, 0, 1)])
+    _agrees_with_oracle_at_every_d(b)
+
+
+def test_certificate_is_least_over_components():
+    # a simplex's normals in R^3 (one family, of size 4) come first, but the
+    # triangle's normals in the last two coordinates hold a smaller family
+    a = direction_set(5, [(-1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, -1, 0, 0, 0),
+                          (0, 0, 0, 0, 1), (0, 0, -1, 0, 0), (0, 0, 0, -1, -1),
+                          (1, 1, 1, 0, 0)])
+    assert is_reliable(a, 1).certificate.members == (1, 3, 5)
+    assert is_reliable(a, 2).certificate.members == (0, 2, 4, 6)
+    _agrees_with_oracle_at_every_d(a)
+    # the first component {0, 4, 5, 6, 7} holds 0 in no positive circuit, so
+    # the later triangle {1, 2, 3} has the lexicographically first family
+    b = direction_set(5, [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+                          (0, 0, 0, -1, -1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                          (0, -1, -1, 0, 0), (1, 1, 0, 0, 0)])
+    assert reliability._components(b.integer_directions())[0][0] == (0, 4, 5, 6, 7)
+    assert is_reliable(b, 1).certificate.members == (1, 2, 3)
+    _agrees_with_oracle_at_every_d(b)
+
+
+def test_component_search_matches_oracle_on_flat_hexagon():
+    flat = translate(
+        apply_linear(embed(named("hexagon"), 3), [[1, 0, 0], [0, 1, 0], [1, 2, 1]]),
+        [0, 0, Fraction(1, 2)],
+    )
+    assert flat.affine_dim == 2
+    _agrees_with_oracle_at_every_d(facet_direction_set(flat))
+
+
+@pytest.mark.parametrize("name", names())
+def test_component_search_matches_oracle_on_corpus(name):
+    body = named(name)
+    a = facet_direction_set(body) if isinstance(body, Polytope) else body
+    _agrees_with_oracle_at_every_d(a)
+
+
+def _polygon_sum(order):
+    """The normals of three polygons in coordinate blocks of R^6, listed in
+    the given order; returns the direction set and each block's rows."""
+    polygons = [named(n) for n in ("hexagon", "cube-2", "standard-simplex-2")]
+    blocks = [
+        [(0,) * (2 * i) + a + (0,) * (4 - 2 * i) for a, _, _ in p.int_facets]
+        for i, p in enumerate(polygons)
+    ]
+    rows = [u for block in blocks for u in block]
+    return direction_set(6, [rows[i] for i in order]), blocks
+
+
+def test_search_runs_only_on_components_of_high_rank(monkeypatch):
+    calls = []
+    real = reliability.circuits
+
+    def recording(vectors, min_size, max_size):
+        calls.append(list(vectors))
+        return real(vectors, min_size, max_size)
+
+    monkeypatch.setattr(reliability, "circuits", recording)
+    order = list(range(13))
+    random.Random("polygon-sum").shuffle(order)
+    a, blocks = _polygon_sum(order)
+    # every component has rank 2, so none can hold a family of size 4
+    assert is_reliable(a, 2).reliable
+    assert calls == []
+    v = is_reliable(a, 1)
+    assert not v.reliable and family_valid(a, v.certificate)
+    assert v.certificate.members == _smallest_family(a, 1)[0]
+    assert calls
+    dirs = a.integer_directions()
+    for rows in calls:
+        # one block's rows, in increasing index order
+        block = next(b for b in blocks if rows[0] in b)
+        assert rows == [u for u in dirs if u in block]
