@@ -23,7 +23,6 @@ from .containment import (
     ShadowCoverReport,
     SubspaceSampler,
     max_scale,
-    product_containment,
     sampled_shadow_cover,
     translate_fit,
 )
@@ -48,12 +47,10 @@ from .polytope import (
     apply_linear,
     direct_sum,
     direct_sum_assemble,
-    embed,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
     scale_polytope,
-    translate,
     vector_area_check,
 )
 from .reliability import (
@@ -103,7 +100,6 @@ __all__ = [
     "direct_sum",
     "direct_sum_assemble",
     "direction_set",
-    "embed",
     "extract_factors",
     "facet_direction_set",
     "hull_from_vertices",
@@ -112,12 +108,10 @@ __all__ = [
     "is_reliable",
     "max_scale",
     "parallelotope_check",
-    "product_containment",
     "project",
     "sampled_shadow_cover",
     "scale_polytope",
     "solve_lp",
-    "translate",
     "translate_fit",
     "vector_area_check",
     "verify_bundle",

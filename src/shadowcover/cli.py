@@ -101,8 +101,6 @@ def _verdict_doc(v: ContainmentVerdict) -> dict:
         doc["certificate"] = [[i, _fr(l)] for i, l in v.certificate.multipliers]
     if v.hull_mismatch:
         doc["hull_mismatch"] = True
-    if v.component is not None:
-        doc["component"] = v.component
     return doc
 
 
@@ -217,6 +215,8 @@ def cmd_reliability(args) -> int:
 
 def cmd_decompose(args) -> int:
     body = load_body(args.file)
+    if args.out and isinstance(body, DirectionSet):
+        raise ValueError("--out writes factor polytopes; a direction set has none")
     factors_doc = None
     if isinstance(body, Polytope):
         if body.affine_dim == 0:
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int_arg, default=0)
     p.add_argument("--affine", action="store_true",
                    help="analyse a lower-dimensional body inside its affine hull")
-    p.add_argument("--out", help="directory for factor polytope files")
+    p.add_argument("--out", help="directory for factor polytope files (polytope input)")
     common(p)
     p.set_defaults(func=cmd_decompose)
 

@@ -16,34 +16,15 @@ exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
 from .kernels import int_dot, int_rank
-from .linalg import (
-    ZERO,
-    Vector,
-    add,
-    coordinate_map,
-    dot,
-    sub,
-    to_ints,
-    vector,
-    zero_vector,
-)
+from .linalg import ZERO, Vector, sub, to_ints, vector, zero_vector
 from .lp import Infeasible, LPProblem, Optimal, Unbounded, solve_lp
-from .polytope import (
-    Polytope,
-    Subspace,
-    blocks_of,
-    contains_point,
-    direct_sum_basis,
-    int_image,
-    project,
-    scale_polytope,
-)
+from .polytope import Polytope, Subspace, project, scale_polytope
 
 
 @dataclass(frozen=True)
@@ -63,15 +44,13 @@ class ContainmentVerdict:
 
     ``hull_mismatch`` flags the degenerate no-fit where K's affine hull
     directions do not even lie in L's, in which case there is no Farkas
-    certificate over facets.  ``component`` names the failing factor for
-    product containment verdicts.
+    certificate over facets.
     """
 
     fits: bool
     witness: Vector | None = None
     certificate: FarkasCertificate | None = None
     hull_mismatch: bool = False
-    component: int | None = None
 
 
 def fits_exactly(k: Polytope, l: Polytope, v: Sequence[Fraction]) -> bool:
@@ -346,45 +325,3 @@ def sampled_shadow_cover(
     return ShadowCoverReport(
         d, trials, passes, sampler, failed_trial, failed_subspace, failed_verdict
     )
-
-
-def product_containment(
-    k: Polytope, parts: Sequence[tuple[Subspace, Polytope]]
-) -> ContainmentVerdict:
-    """Containment of K in a direct sum C, decided component by component.
-
-    The component subspaces must decompose the ambient space.  With the
-    component bases B_i stacked as the rows of M, psi = (M^T)^-1 sends C to
-    the product of the factors C_i, so K fits in C exactly when block i of
-    psi K fits in C_i for every i; psi = (M M^T)^-1 M = A / q is the
-    coordinate map of the square M, and block i of psi K is K's image under
-    A's row block i.  The first failing component's verdict is returned with
-    its index; otherwise the block witnesses, stacked as w, give the witness
-    v = M^T w, re-checked by testing every block of psi (x + v), x a vertex
-    of K, against its factor.  For mutually orthogonal components, block i
-    of psi x is G_i^-1 B_i x with G_i = B_i B_i^T: the coordinates of x's
-    shadow on component i.
-    """
-    stacked, den = direct_sum_basis(parts)
-    if parts[0][0].ambient_dim != k.dim or len(stacked) != k.dim:
-        raise ValueError("components do not form a direct sum of K's space")
-
-    a, q = coordinate_map(stacked, den)
-    dims = [sp.dim for sp, _ in parts]
-    w: list[Fraction] = []
-    for idx, (rows, (_, factor)) in enumerate(zip(blocks_of(a, dims), parts)):
-        verdict = translate_fit(int_image(rows, q, k.int_vertices), factor)
-        if not verdict.fits:
-            return replace(verdict, component=idx)
-        w.extend(verdict.witness)
-    # v = M^T w, for M = stacked / den and w = wn / wd
-    (wn,), wd = to_ints((w,))
-    v = tuple(Fraction(int_dot(col, wn), den * wd) for col in zip(*stacked))
-    for x in k.vertices:
-        y = add(x, v)
-        blocks = blocks_of(tuple(dot(row, y) / q for row in a), dims)
-        _require(
-            all(contains_point(f, b) for (_, f), b in zip(parts, blocks)),
-            "witness translation",
-        )
-    return ContainmentVerdict(True, witness=v)

@@ -6,7 +6,7 @@ represented by the standard simplex conv{0, e_1, ..., e_n}: every verdict
 exercised here — reliability, decomposability, containment equivalences — is
 invariant under nonsingular linear images, so the substitution is harmless.
 
-Random generators are deterministic per seed: hulls of uniform integer
+The random generator is deterministic per seed: hulls of uniform integer
 points, resampled until full-dimensional.
 """
 
@@ -44,16 +44,6 @@ def _square_pyramid() -> Polytope:
     )
 
 
-def _octahedron() -> Polytope:
-    pts = []
-    for i in range(3):
-        for s in (1, -1):
-            e = [0, 0, 0]
-            e[i] = s
-            pts.append(tuple(e))
-    return hull_from_vertices(pts)
-
-
 def _cross_polytope(n: int) -> Polytope:
     pts = []
     for i in range(n):
@@ -80,19 +70,10 @@ def _rhombic_dodecahedron() -> Polytope:
     return hull_from_vertices(pts)
 
 
-def _hexagonal_prism() -> Polytope:
+def _prism(polygon: Polytope, segment: Polytope) -> Polytope:
     plane = subspace(3, [(1, 0, 0), (0, 1, 0)])
     axis = subspace(3, [(0, 0, 1)])
-    segment = hull_from_vertices([(-1,), (1,)])
-    return direct_sum(_hexagon(), segment, plane, axis)
-
-
-def _triangular_prism() -> Polytope:
-    plane = subspace(3, [(1, 0, 0), (0, 1, 0)])
-    axis = subspace(3, [(0, 0, 1)])
-    triangle = hull_from_vertices([(0, 0), (1, 0), (0, 1)])
-    segment = hull_from_vertices([(0,), (1,)])
-    return direct_sum(triangle, segment, plane, axis)
+    return direct_sum(polygon, segment, plane, axis)
 
 
 def _sheared_box(n: int) -> Polytope:
@@ -128,12 +109,14 @@ _CATALOG = {
     "standard-simplex-3": lambda: _standard_simplex(3),
     "standard-simplex-4": lambda: _standard_simplex(4),
     "standard-simplex-5": lambda: _standard_simplex(5),
-    "octahedron": _octahedron,
+    "octahedron": lambda: _cross_polytope(3),
     "cross-polytope-4": lambda: _cross_polytope(4),
     "rhombic-dodecahedron": _rhombic_dodecahedron,
     "hexagon": _hexagon,
-    "hexagonal-prism": _hexagonal_prism,
-    "triangular-prism": _triangular_prism,
+    "hexagonal-prism": lambda: _prism(_hexagon(), hull_from_vertices([(-1,), (1,)])),
+    "triangular-prism": lambda: _prism(
+        hull_from_vertices([(0, 0), (1, 0), (0, 1)]), hull_from_vertices([(0,), (1,)])
+    ),
     "sheared-box-2": lambda: _sheared_box(2),
     "sheared-box-3": lambda: _sheared_box(3),
     "sheared-box-4": lambda: _sheared_box(4),
@@ -170,22 +153,3 @@ def random_polytope(
         if p.is_full_dimensional:
             return p
     raise RuntimeError("failed to sample a full-dimensional polytope")
-
-
-def random_symmetric_polytope(
-    seed: int, n: int, pair_count: int, coord_bound: int
-) -> Polytope:
-    """Hull of +-v over random integer points v; centrally symmetric about 0."""
-    if pair_count < n:
-        raise ValueError("need at least n pairs for a full-dimensional hull")
-    rng = random.Random(f"sym:{seed}:{n}:{pair_count}:{coord_bound}")
-    for _ in range(1000):
-        pts = []
-        for _ in range(pair_count):
-            v = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(n))
-            pts.append(v)
-            pts.append(tuple(-x for x in v))
-        p = hull_from_vertices(pts)
-        if p.is_full_dimensional:
-            return p
-    raise RuntimeError("failed to sample a full-dimensional symmetric polytope")

@@ -43,17 +43,17 @@ class NoUsableScaleError(ValueError):
     """Raised when the sampled shadows leave no room to enlarge the body."""
 
 
-def build_S(l: Polytope, family: SimplicialFamily, d: int | None = None) -> Polytope:
+def build_S(l: Polytope, family: SimplicialFamily, d: int) -> Polytope:
     """Hull of the family facets' centroids; supports match L on the family.
 
     The family members index facets of L.  Facet centroids are relative
     interior points of their facets, hence regular boundary points, and they
-    are always rational.  Passing d enforces the size >= d+2 requirement of
-    the counterexample construction.
+    are always rational.  The family must have the size >= d+2 that the
+    counterexample construction for shadow dimension d requires.
     """
     if family.size < 3:
         raise ValueError("a counterexample family needs at least 3 members")
-    if d is not None and family.size < d + 2:
+    if family.size < d + 2:
         raise ValueError("family is too small to defeat d-shadow covering")
     for idx in family.members:
         if not 0 <= idx < len(l.facets):

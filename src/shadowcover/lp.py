@@ -31,16 +31,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .kernels import int_dot
-from .linalg import ZERO, Vector, dot, to_ints, vector
+from .linalg import ZERO, Vector, dot, to_ints
 
 
 @dataclass(frozen=True)
 class LPProblem:
     """maximize objective . x  subject to  a . x <= b, one row per constraint.
 
-    A row (an, bn, den) of integers, den > 0, is a = an / den, b = bn / den;
-    ``lp_problem`` builds rows from rational pairs.  ``nonneg[j]`` restricts
-    variable j to x_j >= 0; by default all variables are free.
+    A row (an, bn, den) of integers, den > 0, is a = an / den, b = bn / den.
+    ``nonneg[j]`` restricts variable j to x_j >= 0; by default all variables
+    are free.
     """
 
     objective: Vector
@@ -75,13 +75,6 @@ class Unbounded:
 
 
 LPOutcome = Optimal | Infeasible | Unbounded
-
-
-def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
-    """The problem over rational (a, b) pairs, each row scaled to integers."""
-    rows = [to_ints(((*vector(a), Fraction(b)),)) for a, b in constraints]
-    cons = tuple((row[:-1], row[-1], den) for (row,), den in rows)
-    return LPProblem(vector(objective), cons, tuple(bool(f) for f in nonneg))
 
 
 def _feasible(p: LPProblem, x: Vector, ray: bool) -> bool:

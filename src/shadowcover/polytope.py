@@ -7,7 +7,7 @@ rows); their ``Fraction`` views are for the API and JSON, built on first
 read.  Facet normals are outward and content-reduced.  Lower-dimensional
 bodies are first-class: facets are then relative facets inside the affine
 hull, with normals in its direction space.  Support values, membership
-tests, shadows, ``translate`` and ``scale_polytope`` compute on integers.
+tests, shadows and ``scale_polytope`` compute on integers.
 
 One integer hull core serves ``hull_from_vertices``, which scales its points
 to integers first, and ``int_image``, which maps vertex numerators by an
@@ -274,43 +274,6 @@ def canonical(nums: Sequence[tuple[int, ...]], den: int) -> tuple[IntMatrix, int
     return tuple(tuple(x // g for x in v) for v in nums), den // g
 
 
-def _moved(
-    p: Polytope,
-    nums: Sequence[tuple[int, ...]],
-    den: int,
-    offsets: Iterable[tuple[int, int]],
-) -> Polytope:
-    """P with vertices nums / den and facet offsets num / den, facets
-    otherwise kept: the image of P under a translation or a positive
-    dilation."""
-    int_facets = tuple(
-        (a, *_lowest(*b)) for (a, _, _), b in zip(p.int_facets, offsets)
-    )
-    return Polytope(
-        p.dim, canonical(nums, den), int_facets, p.incidences,
-        p.affine_dim, p.int_basis,
-    )
-
-
-def translate(p: Polytope, t: Sequence[Fraction]) -> Polytope:
-    """Translate a polytope; an exact fast path, no re-hulling needed.
-
-    Computed on P's integers: with vertices X / D and t = tn / td, the
-    vertices become (td X + D tn) / (D td), and a.x <= b becomes
-    a.x <= b + a.t.
-    """
-    t = vector(t)
-    if len(t) != p.dim:
-        raise ValueError("translation dimension mismatch")
-    (tn,), td = to_ints((t,))
-    nums, den = p.int_vertices
-    shift = [den * x for x in tn]
-    moved = [tuple(td * x + s for x, s in zip(v, shift)) for v in nums]
-    offsets = ((bn * td + int_dot(a, tn) * bd, bd * td)
-               for a, bn, bd in p.int_facets)
-    return _moved(p, moved, den * td, offsets)
-
-
 def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
     """The dilate c * P about the origin.
 
@@ -323,8 +286,9 @@ def scale_polytope(p: Polytope, c: Fraction | int) -> Polytope:
     nums, den = p.int_vertices
     scaled = [tuple(cn * x for x in v) for v in nums]
     if c > 0:
-        offsets = ((cn * bn, cd * bd) for _, bn, bd in p.int_facets)
-        return _moved(p, scaled, den * cd, offsets)
+        facets = tuple((a, *_lowest(cn * bn, cd * bd)) for a, bn, bd in p.int_facets)
+        return Polytope(p.dim, canonical(scaled, den * cd), facets, p.incidences,
+                        p.affine_dim, p.int_basis)
     return _int_hull(p.dim, scaled, den * cd)
 
 
@@ -360,29 +324,6 @@ def stack_bases(spaces: Sequence[Subspace]) -> tuple[IntMatrix, int]:
                  for rows, d in (sp.int_basis for sp in spaces) for row in rows), den
 
 
-def direct_sum_basis(
-    parts: Sequence[tuple[Subspace, Polytope]]
-) -> tuple[IntMatrix, int]:
-    """The stacked subspace bases M of direct-sum parts, checked, as integer
-    rows over one denominator.
-
-    Each factor must be in its subspace's coordinates and the bases jointly
-    independent; the direct sum is M^T applied to the factors' product.
-    """
-    if not parts:
-        raise ValueError("direct sum of no parts")
-    n = parts[0][0].ambient_dim
-    for sp, factor in parts:
-        if sp.ambient_dim != n:
-            raise ValueError("direct sum parts have mixed ambient dimensions")
-        if factor.dim != sp.dim:
-            raise ValueError("factor is not in its subspace's coordinates")
-    rows, den = stack_bases([sp for sp, _ in parts])
-    if kernels.int_rank(rows) != len(rows):
-        raise ValueError("component subspaces are not jointly independent")
-    return rows, den
-
-
 def product_vertices(factors: Sequence[Polytope]) -> tuple[IntMatrix, int]:
     """Vertices of the product of the factors, one vertex of each joined, as
     integer numerators over one denominator."""
@@ -400,29 +341,26 @@ def blocks_of(x: Sequence, dims: Sequence[int]) -> list:
 def direct_sum_assemble(parts: Sequence[tuple[Subspace, Polytope]]) -> Polytope:
     """Direct Minkowski sum of factors living in complementary subspaces.
 
-    The image of the factors' product under M^T; see direct_sum_basis.
+    Each factor must be in its subspace's coordinates and the bases jointly
+    independent; the direct sum is the image of the factors' product under
+    M^T, for the stacked subspace bases M.
     """
-    rows, den = direct_sum_basis(parts)
+    if not parts:
+        raise ValueError("direct sum of no parts")
+    n = parts[0][0].ambient_dim
+    for sp, factor in parts:
+        if sp.ambient_dim != n:
+            raise ValueError("direct sum parts have mixed ambient dimensions")
+        if factor.dim != sp.dim:
+            raise ValueError("factor is not in its subspace's coordinates")
+    rows, den = stack_bases([sp for sp, _ in parts])
+    if kernels.int_rank(rows) != len(rows):
+        raise ValueError("component subspaces are not jointly independent")
     return int_image(tuple(zip(*rows)), den, product_vertices([f for _, f in parts]))
 
 
 def direct_sum(p: Polytope, q: Polytope, xi: Subspace, eta: Subspace) -> Polytope:
     return direct_sum_assemble([(xi, p), (eta, q)])
-
-
-def embed(p: Polytope, target_dim: int) -> Polytope:
-    """Append zero coordinates so the body lives in a larger ambient space."""
-    if target_dim < p.dim:
-        raise ValueError("target dimension must not shrink the body")
-    if target_dim == p.dim:
-        return p
-    pad = (0,) * (target_dim - p.dim)
-    nums, den = p.int_vertices
-    return Polytope(
-        target_dim, (tuple(v + pad for v in nums), den),
-        tuple((a + pad, bn, bd) for a, bn, bd in p.int_facets),
-        p.incidences, p.affine_dim, tuple(row + pad for row in p.int_basis),
-    )
 
 
 def apply_linear(p: Polytope, psi: Sequence[Sequence[object]]) -> Polytope:

@@ -9,15 +9,27 @@ the library's depth-first search.  The membership, containment and LP
 feasibility checks that the library runs in integers are kept here in their
 direct ``Fraction`` form, substituting into the rational facets and
 constraints.
+
+The tests also build a few things the library has no use for: translates and
+zero-padded embeddings of a body (re-hulled from their vertices, which gives
+the same canonical ``Polytope``), LPs over rational (a, b) pairs, centrally
+symmetric random bodies, and containment in a direct sum decided block by
+block, an independent check on ``translate_fit``.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 import sympy
+
+from shadowcover.containment import ContainmentVerdict, translate_fit
+from shadowcover.linalg import to_ints, vector
+from shadowcover.lp import LPProblem
+from shadowcover.polytope import hull_from_vertices
 
 
 def sy_rank(rows) -> int:
@@ -246,3 +258,78 @@ def frac_farkas(rows, nonneg, lam) -> bool:
 def grid_rationals(lo: Fraction, hi: Fraction, steps: int):
     step = (hi - lo) / steps
     return [lo + k * step for k in range(steps + 1)]
+
+
+def translate(p, t):
+    """P + t, hulled from the moved vertices."""
+    if len(t) != p.dim:
+        raise ValueError("translation dimension mismatch")
+    return hull_from_vertices([[x + Fraction(y) for x, y in zip(v, t)]
+                               for v in p.vertices])
+
+
+def embed(p, target_dim: int):
+    """P with zero coordinates appended, in R^target_dim."""
+    if target_dim < p.dim:
+        raise ValueError("target dimension must not shrink the body")
+    pad = (0,) * (target_dim - p.dim)
+    return hull_from_vertices([v + pad for v in p.vertices])
+
+
+def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
+    """The LP over rational (a, b) pairs, each row scaled to integers."""
+    rows = [to_ints(((*vector(a), Fraction(b)),)) for a, b in constraints]
+    cons = tuple((row[:-1], row[-1], den) for (row,), den in rows)
+    return LPProblem(vector(objective), cons, tuple(bool(f) for f in nonneg))
+
+
+def random_symmetric_polytope(seed: int, n: int, pair_count: int, coord_bound: int):
+    """Hull of +-v over random integer points v; centrally symmetric about 0,
+    resampled until full-dimensional."""
+    if pair_count < n:
+        raise ValueError("need at least n pairs for a full-dimensional hull")
+    rng = random.Random(f"sym:{seed}:{n}:{pair_count}:{coord_bound}")
+    for _ in range(1000):
+        pts = []
+        for _ in range(pair_count):
+            v = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(n))
+            pts.append(v)
+            pts.append(tuple(-x for x in v))
+        p = hull_from_vertices(pts)
+        if p.is_full_dimensional:
+            return p
+    raise RuntimeError("failed to sample a full-dimensional symmetric polytope")
+
+
+def product_containment(k, parts):
+    """Whether a translate of K fits in the direct sum C of the parts, decided
+    factor by factor, as (verdict, index of the first failing factor or None).
+
+    With the component bases stacked as the rows of M, psi = (M^T)^-1 sends
+    C to the product of the factors, so K fits in C exactly when block i of
+    psi K fits in factor i for every i.  The block witnesses, stacked as w,
+    give the witness v = M^T w, which is re-checked by testing every block of
+    psi (x + v), x a vertex of K, against its factor.
+    """
+    stacked = [row for sp, _ in parts for row in sp.basis]
+    if len(stacked) != k.dim or sy_rank(stacked) != k.dim:
+        raise ValueError("components do not form a direct sum of K's space")
+    psi = sy_inverse(transpose(stacked))
+    blocks, start = [], 0
+    for sp, _ in parts:
+        blocks.append(psi[start:start + sp.dim])
+        start += sp.dim
+    w = []
+    for idx, (rows, (_, factor)) in enumerate(zip(blocks, parts)):
+        image = hull_from_vertices([matvec(rows, x) for x in k.vertices])
+        verdict = translate_fit(image, factor)
+        if not verdict.fits:
+            return verdict, idx
+        w.extend(verdict.witness)
+    v = matvec(transpose(stacked), w)
+    for x in k.vertices:
+        y = [a + b for a, b in zip(x, v)]
+        if not all(frac_contains_point(f, matvec(rows, y))
+                   for rows, (_, f) in zip(blocks, parts)):
+            raise AssertionError("witness translation failed exact re-verification")
+    return ContainmentVerdict(True, witness=v), None

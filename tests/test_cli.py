@@ -133,6 +133,26 @@ def test_decompose_writes_factors(capsys, cube_file, tmp_path):
     assert len(list(outdir.glob("factor_*.json"))) == 3
 
 
+def test_decompose_directions_refuse_out(capsys, tmp_path, monkeypatch):
+    """A direction set has no factors to write, so --out is refused before
+    any analysis rather than accepted and left empty."""
+    from shadowcover import cli
+    from shadowcover.jsonio import directions_to_doc
+
+    def analysis(*args):
+        raise AssertionError("analysis started")
+
+    monkeypatch.setattr(cli, "is_decomposable", analysis)
+    path = tmp_path / "q.json"
+    write_json(path, directions_to_doc(named("q-directions")))
+    outdir = tmp_path / "factors"
+    outdir.mkdir()
+    code, out, err = run(capsys, "decompose", str(path), "--out", str(outdir))
+    assert code == 2 and out == ""
+    assert err == "error: --out writes factor polytopes; a direction set has none\n"
+    assert not any(outdir.iterdir())
+
+
 def test_decompose_lower_dimensional_needs_affine(capsys, tmp_path):
     path = tmp_path / "flat.json"
     write_json(
@@ -337,7 +357,8 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
     while polytopes still stored their Fraction vertices and facets."""
     import hashlib
 
-    from shadowcover.polytope import apply_linear, embed, scale_polytope, translate
+    from oracles import embed, translate
+    from shadowcover.polytope import apply_linear, scale_polytope
 
     flat = translate(
         apply_linear(embed(named("hexagon"), 3), [[1, 0, 0], [0, 1, 0], [1, 2, 1]]),

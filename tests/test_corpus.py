@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from shadowcover.corpus import named, names, random_polytope, random_symmetric_polytope
+from oracles import random_symmetric_polytope
+from shadowcover.corpus import named, names, random_polytope
 from shadowcover.linalg import vector
 from shadowcover.polytope import (
     hull_from_vertices,

@@ -61,7 +61,7 @@ def test_build_S_rejects_small_family(octahedron):
 
 def test_find_alpha_is_above_one(octahedron):
     fam = octa_family(octahedron)
-    s = build_S(octahedron, fam)
+    s = build_S(octahedron, fam, d=2)
     alpha = scale_search(octahedron, s, 2, SubspaceSampler(3, 2), 120)
     assert alpha > 1
 
@@ -89,7 +89,7 @@ def test_nonpositive_trials_rejected(octahedron):
 
 def test_margin_monotone(octahedron):
     fam = octa_family(octahedron)
-    s = build_S(octahedron, fam)
+    s = build_S(octahedron, fam, d=2)
     sampler = SubspaceSampler(3, 2)
     small = scale_search(octahedron, s, 2, sampler, 60, margin=F(1, 10))
     large = scale_search(octahedron, s, 2, sampler, 60, margin=F(1, 2))
@@ -98,7 +98,7 @@ def test_margin_monotone(octahedron):
 
 def test_family_certificate_requires_scaling(octahedron):
     fam = octa_family(octahedron)
-    s = build_S(octahedron, fam)
+    s = build_S(octahedron, fam, d=2)
     cert = FarkasCertificate(tuple(zip(fam.members, fam.coefficients)))
     assert certificate_valid(scale_polytope(s, F(9, 8)), octahedron, cert)
     # S itself still fits

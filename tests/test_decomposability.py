@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import circuit_components, sy_inverse, transpose
-from shadowcover.corpus import named, random_polytope, random_symmetric_polytope
+from oracles import circuit_components, random_symmetric_polytope, sy_inverse, transpose
+from shadowcover.corpus import named, random_polytope
 from shadowcover.decomposability import extract_factors, is_decomposable
 from shadowcover.kernels import int_rank
 from shadowcover.linalg import integerize, matrix

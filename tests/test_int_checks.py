@@ -3,8 +3,8 @@
 ``contains_point``, ``fits_exactly`` and the LP's ``_feasible`` run in
 integers; ``tests/oracles.py`` keeps the Fraction substitutions they
 replaced.  Bodies of every affine dimension are drawn, points and bodies
-included, and moved by ``translate`` and ``scale_polytope`` so that the
-integers those compute are exercised as well as the hull's.
+included, and dilated by ``scale_polytope`` so that the integers it
+computes are exercised as well as the hull's.
 """
 
 from fractions import Fraction
@@ -12,19 +12,24 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import frac_contains_point, frac_feasible, frac_fits_exactly
+from oracles import (
+    embed,
+    frac_contains_point,
+    frac_feasible,
+    frac_fits_exactly,
+    lp_problem,
+    translate,
+)
 from shadowcover import containment, lp
 from shadowcover.containment import SubspaceSampler, fits_exactly
 from shadowcover.corpus import named
 from shadowcover.linalg import dot, integerize, sub, to_ints, vector
 from shadowcover.polytope import (
     contains_point,
-    embed,
     hull_from_vertices,
     project,
     scale_polytope,
     subspace,
-    translate,
 )
 
 F = Fraction
@@ -41,7 +46,7 @@ def rational_vectors(n):
 def bodies(draw, n):
     """A rational body in R^n of any affine dimension from 0 to n: points
     o + sum c_j d_j over k integer directions d_j, hulled, then perhaps
-    dilated and translated."""
+    dilated."""
     k = draw(st.one_of(st.just(n), st.integers(0, n)))
     origin = draw(rational_vectors(n))
     dirs = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
@@ -51,14 +56,12 @@ def bodies(draw, n):
         cs = draw(st.lists(small_q, min_size=k, max_size=k))
         pts.append([o + sum((c * d[j] for c, d in zip(cs, dirs)), F(0))
                     for j, o in enumerate(origin)])
-    return moved(draw, hull_from_vertices(pts))
+    return dilated(draw, hull_from_vertices(pts))
 
 
-def moved(draw, p):
+def dilated(draw, p):
     if draw(st.booleans()):
         p = scale_polytope(p, draw(positive_q))
-    if draw(st.booleans()):
-        p = translate(p, draw(rational_vectors(p.dim)))
     return p
 
 
@@ -130,11 +133,11 @@ def test_contains_point_matches_fraction_oracle(case):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_stored_integers_match_views(data):
-    """The integers that hulls, projections, translate, scale_polytope and
-    embed store equal the ones derived from the Fraction views: the
-    vertices over their least common denominator, which is then coprime to
-    the numerators, and each facet's integer normal and offset in lowest
-    terms.  Every such body is the hull of its vertices."""
+    """The integers that hulls, projections and scale_polytope store, also
+    on zero-padded embeddings, equal the ones derived from the Fraction
+    views: the vertices over their least common denominator, which is then
+    coprime to the numerators, and each facet's integer normal and offset in
+    lowest terms.  Every such body is the hull of its vertices."""
     n = data.draw(st.integers(1, 4))
     p = data.draw(bodies(n))
     if n > 1 and data.draw(st.booleans()):
@@ -147,9 +150,9 @@ def test_stored_integers_match_views(data):
         except ValueError:  # dependent rows
             xi = None
         if xi is not None:
-            p = moved(data.draw, project(p, xi))
+            p = dilated(data.draw, project(p, xi))
     if data.draw(st.booleans()):
-        p = moved(data.draw, embed(p, p.dim + data.draw(st.integers(1, 2))))
+        p = dilated(data.draw, embed(p, p.dim + data.draw(st.integers(1, 2))))
     nums, den = p.int_vertices
     assert den > 0 and gcd(den, *[x for v in nums for x in v]) == 1
     assert to_ints(p.vertices) == (nums, den)
@@ -214,7 +217,7 @@ def lp_cases(draw):
             b = dot(vector(a), x) + draw(st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
         cons.append((tuple(a), b))
     nonneg = tuple(draw(st.lists(st.booleans(), min_size=nv, max_size=nv)))
-    return lp.lp_problem([0] * nv, cons, nonneg), cons, x
+    return lp_problem([0] * nv, cons, nonneg), cons, x
 
 
 @given(lp_cases())

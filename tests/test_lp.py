@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frac_farkas, grid_rationals, lp_optimum_by_enumeration
+from oracles import frac_farkas, grid_rationals, lp_optimum_by_enumeration, lp_problem
 from shadowcover.lp import (
     Infeasible,
     LPProblem,
     Optimal,
     Unbounded,
-    lp_problem,
     solve_lp,
     verify_outcome,
 )

