@@ -6,7 +6,6 @@ are all invariant under that scaling.  All functions are pure and
 deterministic.
 """
 
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -234,17 +233,17 @@ def hull_facets(points):
 
     Returns (outward content-reduced normal, offset, incident point indices)
     triples, sorted; a facet's incident points are all the points on its
-    hyperplane, collinear edge points included.  Dimension 1 takes the
-    minimum and maximum, dimension 2 walks Andrew's monotone chain
-    (O(V log V) plus one incidence scan per edge), and higher dimensions
-    scan point subsets (see _scan_facets).  The three agree exactly.
+    hyperplane, repeated points and points on edges included.  Dimension 1
+    takes the minimum and maximum, dimension 2 walks Andrew's monotone chain
+    (O(V log V) plus one incidence scan per edge), and higher dimensions run
+    the double description method (see _double_description).
     """
     dim = len(points[0])
     if dim == 1:
         return _interval_facets(points)
     if dim == 2:
         return _polygon_facets(points)
-    return _scan_facets(points)
+    return _double_description(points)
 
 
 def _interval_facets(points):
@@ -286,45 +285,112 @@ def _polygon_facets(points):
     return out
 
 
-def _scan_facets(points):
-    """Brute-force facets: every point subset of size dim spanning a
-    hyperplane is a candidate, kept when all points lie weakly on one side.
-    Cost is C(V, dim) * V dot products.
+def _simplex_rays(points, dim):
+    """The dim+1 facets of a simplex of the points, as (outward normal,
+    offset, mask of its points) rays, and the simplex's point indices.
+
+    The first dim+1 affinely independent points are found by one incremental
+    fraction-free elimination of their differences to the first point.  With
+    those differences as the rows of D, the inverse of D^T comes from one
+    more elimination: its row r is orthogonal to every difference but the
+    r-th, so it is normal to the facet that misses that point, and the sum
+    of the rows, each over its pivot, is normal to the facet that misses the
+    first point.
     """
-    npts = len(points)
+    base = points[0]
+    simplex = [0]
+    diffs = []
+    echelon = []
+    for i in range(1, len(points)):
+        diff = [a - b for a, b in zip(points[i], base)]
+        w = diff
+        for prow, pcol in echelon:
+            x = w[pcol]
+            if x:
+                pv = prow[pcol]
+                w = _reduce_row([pv * a - x * b for a, b in zip(w, prow)])
+        pcol = next((k for k in range(dim) if w[k]), -1)
+        if pcol < 0:
+            continue
+        echelon.append((w, pcol))
+        simplex.append(i)
+        diffs.append(diff)
+        if len(simplex) == dim + 1:
+            break
+    else:
+        raise ValueError("points are not full-dimensional")
+    # rows c_r e_r | x_r with x_r . diffs[j] == c_r when j == r, else 0
+    m, _ = _eliminate([[d[r] for d in diffs] + [int(r == c) for c in range(dim)]
+                       for r in range(dim)], True)
+    den = lcm(*[row[r] for r, row in enumerate(m)])
+    full = sum(1 << i for i in simplex)
+    rays = []
+    total = [0] * dim
+    for r, row in enumerate(m):
+        c, x = row[r], row[dim:]
+        total = [t + den // c * y for t, y in zip(total, x)]
+        nrm = _reduce_row([-y for y in x] if c > 0 else x)
+        rays.append((nrm, int_dot(nrm, base), full ^ 1 << simplex[r + 1]))
+    # total . diffs[j] == den > 0 for every j
+    nrm = _reduce_row(total)
+    rays.append((nrm, int_dot(nrm, points[simplex[1]]), full ^ 1))
+    return rays, simplex
+
+
+def _double_description(points):
+    """Facets as the extreme rays (a, b) of the cone {a.p_i <= b for all i}.
+
+    Integer double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
+    the simplex of dim+1 affinely independent points gives the first rays,
+    then each further point splits the rays by the sign of a.p - b, drops the
+    violated ones and joins each adjacent (violated, strict) pair into a ray
+    tight on p.  Every ray keeps a bit mask of the points tight on it, which
+    at the end is the facet's incidence set; two rays are adjacent when their
+    common mask has at least dim-1 points and no third ray's mask holds it
+    (the combinatorial test), which is exact under any degeneracy.  The rays
+    are always the facets of the hull of the points added so far, so there
+    are at most F of them, the facet count of the cyclic polytope with V
+    vertices in R^dim (McMullen's upper bound), and a step tests at most
+    F^2 / 4 pairs.
+    """
     dim = len(points[0])
-    found = {}
-    for subset in combinations(range(npts), dim):
-        base = points[subset[0]]
-        diffs = [[points[i][k] - base[k] for k in range(dim)] for i in subset[1:]]
-        nrm = cross_rows(diffs, dim)
-        if not any(nrm):
+    need = dim - 1
+    rays, simplex = _simplex_rays(points, dim)
+    skip = set(simplex)
+    for i, p in enumerate(points):
+        if i in skip:
             continue
-        g = _content(nrm)
-        if g > 1:
-            nrm = tuple(x // g for x in nrm)
-        b = 0
-        for k in range(dim):
-            b += nrm[k] * base[k]
-        haspos = hasneg = False
-        sides = []
-        for p in points:
-            s = -b
-            for k in range(dim):
-                s += nrm[k] * p[k]
-            sides.append(s)
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for a, b, m in rays:
+            s = int_dot(a, p) - b
             if s > 0:
-                haspos = True
+                pos.append((s, a, b, m))
             elif s < 0:
-                hasneg = True
-            if haspos and hasneg:
-                break
-        if haspos and hasneg:
+                neg.append((s, a, b, m))
+                kept.append((a, b, m))
+            else:
+                kept.append((a, b, m | bit))
+        if not pos:
+            rays = kept
             continue
-        if haspos:
-            nrm = tuple(-x for x in nrm)
-            b = -b
-        key = (nrm, b)
-        if key not in found:
-            found[key] = tuple(i for i, s in enumerate(sides) if s == 0)
-    return sorted((n, b, inc) for (n, b), inc in found.items())
+        masks = [m for _, _, m in rays]
+        for sp, ap, bp, mp in pos:
+            for sn, an, bn, mn in [r for r in neg if (mp & r[3]).bit_count() >= need]:
+                z = mp & mn
+                # the pair's own masks hold z; a third one means not adjacent
+                if len([m for m in masks if m & z == z]) > 2:
+                    continue
+                # sp > 0 > sn, so the new ray is a positive combination,
+                # tight on p and on exactly the points tight on both
+                a = [sp * x - sn * y for x, y in zip(an, ap)]
+                # every ray is tight on an integer point, so the content of
+                # its normal divides its offset
+                g = _content(a)
+                kept.append(([x // g for x in a], (sp * bn - sn * bp) // g, z | bit))
+        rays = kept
+    npts = len(points)
+    return sorted(
+        (tuple(a), b, tuple(j for j in range(npts) if m >> j & 1))
+        for a, b, m in rays
+    )

@@ -14,9 +14,10 @@ to integers first, and ``int_image``, which maps vertex numerators by an
 integer matrix: projections, linear images, direct sums and the factor
 blocks of a split all go through it.  Facets come from
 ``kernels.hull_facets`` inside the affine hull: an interval's two ends in
-dimension 1, Andrew's monotone chain in dimension 2, and a brute-force scan
-of point subsets (cost C(V, d) * V) from dimension 3 on, which is exact and
-adequate for the desk-scale bodies this library targets.
+dimension 1, Andrew's monotone chain in dimension 2, and from dimension 3 on
+the integer double description method, whose cost follows the facet counts
+of the hulls it builds point by point rather than the C(V, d) point subsets:
+25 points in R^5 with 236 facets take about 40 ms, the 5-cube milliseconds.
 """
 
 from __future__ import annotations

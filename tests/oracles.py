@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: ranks and
 nullspaces come from sympy, hulls are checked by reconstructing vertices
-from the half-space side (H-to-V, the reverse of the library's V-to-H), LP
-optima are recomputed by enumerating basic solutions, and circuits and
+from the half-space side (H-to-V, the reverse of the library's V-to-H),
+facets are found by trying every point subset (its normals come from
+``kernels.cross_rows``, which the library's hull does not use), LP optima
+are recomputed by enumerating basic solutions, and circuits and
 simplicial families are found by testing every subset in turn rather than by
 the library's depth-first search.  The membership, containment and LP
 feasibility checks that the library runs in integers are kept here in their
@@ -27,6 +29,7 @@ from math import gcd, lcm
 import sympy
 
 from shadowcover.containment import ContainmentVerdict, translate_fit
+from shadowcover.kernels import cross_rows
 from shadowcover.linalg import to_ints, vector
 from shadowcover.lp import LPProblem
 from shadowcover.polytope import hull_from_vertices
@@ -159,6 +162,42 @@ def circuit_components(vectors) -> list[tuple[int, ...]]:
     for j in range(len(vectors)):
         groups.setdefault(find(j), []).append(j)
     return sorted(tuple(g) for g in groups.values())
+
+
+def scan_facets(points) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Facets of full-dimensional integer points by brute force, in the
+    form of ``kernels.hull_facets``: every point subset of size dim that
+    spans a hyperplane is a candidate, kept when all points lie weakly on
+    one side.  Cost is C(V, dim) * V dot products.
+    """
+    npts = len(points)
+    dim = len(points[0])
+    found = {}
+    for subset in combinations(range(npts), dim):
+        base = points[subset[0]]
+        diffs = [[points[i][k] - base[k] for k in range(dim)] for i in subset[1:]]
+        nrm = cross_rows(diffs, dim)
+        if not any(nrm):
+            continue
+        g = gcd(*nrm)
+        nrm = tuple(x // g for x in nrm)
+        b = sum(x * y for x, y in zip(nrm, base))
+        haspos = hasneg = False
+        sides = []
+        for p in points:
+            s = sum(x * y for x, y in zip(nrm, p)) - b
+            sides.append(s)
+            haspos = haspos or s > 0
+            hasneg = hasneg or s < 0
+            if haspos and hasneg:
+                break
+        if haspos and hasneg:
+            continue
+        if haspos:
+            nrm = tuple(-x for x in nrm)
+            b = -b
+        found.setdefault((nrm, b), tuple(i for i, s in enumerate(sides) if s == 0))
+    return sorted((n, b, inc) for (n, b), inc in found.items())
 
 
 def hrep_vertices(facets, dim) -> set[tuple[Fraction, ...]]:

@@ -1,11 +1,13 @@
-"""The integer kernels: circuits, canonical row bases and their garbage."""
+"""The integer kernels: circuits and their garbage, canonical row bases, and
+hull facets against the subset scan."""
 
 import gc
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import simplicial_families
+from oracles import scan_facets, simplicial_families
 from shadowcover import backend_name, kernels
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -101,11 +103,82 @@ def low_dim_clouds(draw):
 @given(low_dim_clouds())
 @settings(max_examples=300, deadline=None)
 def test_low_dimensional_hulls_match_subset_scan(pts):
-    assert kernels.hull_facets(pts) == kernels._scan_facets(pts)
+    assert kernels.hull_facets(pts) == scan_facets(pts)
 
 
 def test_polygon_keeps_collinear_edge_points():
     pts = [(0, 0), (2, 0), (1, 0), (2, 2), (0, 2), (1, 1), (2, 1), (0, 0)]
     facets = kernels.hull_facets(pts)
-    assert facets == kernels._scan_facets(pts)
+    assert facets == scan_facets(pts)
     assert ((0, -1), 0, (0, 1, 2, 7)) in facets
+
+
+def _solid_points(dim, cube):
+    """Vertices of the cube [-2, 2]^dim or of the cross-polytope with
+    vertices +-2 e_i, and the points a cloud may add to them: the midpoints
+    of their edges, the centre and one more inner point."""
+    if cube:
+        verts = [tuple(2 * ((k >> i & 1) * 2 - 1) for i in range(dim))
+                 for k in range(2 ** dim)]
+    else:
+        verts = [tuple(s * 2 * (i == j) for i in range(dim))
+                 for j in range(dim) for s in (1, -1)]
+    mids = sorted({tuple((a + b) // 2 for a, b in zip(u, v))
+                   for u in verts for v in verts
+                   if sum(a != b for a, b in zip(u, v)) == (1 if cube else 2)})
+    inner = [(0,) * dim, (1,) + (0,) * (dim - 1)]
+    return verts, mids + inner
+
+
+@st.composite
+def full_dim_clouds(draw):
+    """Full-dimensional integer clouds in R^3..R^5: +-1 and +-2 boxes with
+    repeats, cube and cross-polytope vertices with points on their edges and
+    inside, and bare simplices; scaled, shifted and shuffled as above."""
+    dim = draw(st.sampled_from((3, 4, 5)))
+    kind = draw(st.sampled_from(("box", "solid", "simplex")))
+    if kind == "box":
+        r = draw(st.sampled_from((1, 2)))
+        grid = st.tuples(*[st.integers(-r, r)] * dim)
+        pts = draw(st.lists(grid, min_size=dim + 1, max_size=8 if dim == 5 else 12))
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    elif kind == "solid":
+        # the oracle's C(V, dim) subsets keep the clouds small in R^5: the
+        # 5-cube's 32 vertices alone would take it seconds
+        verts, extra = _solid_points(dim, draw(st.booleans()) and dim < 5)
+        more = draw(st.lists(st.sampled_from(extra), max_size=2 if dim == 5 else 4))
+        pts = verts + more
+    else:
+        grid = st.tuples(*[st.integers(-50, 50)] * dim)
+        pts = draw(st.lists(grid, min_size=dim + 1, max_size=dim + 1))
+    s = draw(st.sampled_from((1, 7, 10**9 + 7)))
+    shift = draw(st.tuples(*[st.integers(-10**15, 10**15)] * dim))
+    pts = draw(st.permutations([tuple(s * x + o for x, o in zip(p, shift))
+                                for p in pts]))
+    base = pts[0]
+    assume(kernels.int_rank([[a - b for a, b in zip(p, base)] for p in pts]) == dim)
+    return pts
+
+
+@given(full_dim_clouds())
+@settings(max_examples=150, deadline=None)
+def test_double_description_matches_subset_scan(pts):
+    assert kernels.hull_facets(pts) == scan_facets(pts)
+
+
+def test_grid_facets_hold_every_grid_point():
+    """The 4x4x4 grid: six square facets of 16 points each, faces and
+    edges included."""
+    pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+    facets = kernels.hull_facets(pts)
+    assert [(a, b) for a, b, _ in facets] == [
+        ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
+        ((0, 0, 1), 3), ((0, 1, 0), 3), ((1, 0, 0), 3)]
+    for a, b, inc in facets:
+        assert inc == tuple(i for i, p in enumerate(pts) if kernels.int_dot(a, p) == b)
+        assert len(inc) == 16
+
+
+def test_flat_points_are_refused():
+    with pytest.raises(ValueError, match="not full-dimensional"):
+        kernels.hull_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
