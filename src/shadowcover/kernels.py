@@ -228,15 +228,50 @@ def cross_rows(rows, dim):
     return tuple(res)
 
 
-def hull_facets(points):
-    """Facets of the convex hull of full-dimensional integer points.
+def affine_prefix(points):
+    """Indices of the first affinely independent points, in input order.
 
-    Returns (outward content-reduced normal, offset, incident point indices)
-    triples, sorted; a facet's incident points are all the points on its
-    hyperplane, repeated points and points on edges included.  Dimension 1
-    takes the minimum and maximum, dimension 2 walks Andrew's monotone chain
-    (O(V log V) plus one incidence scan per edge), and higher dimensions run
-    the double description method (see _double_description).
+    points[0] comes first; each later point joins when its difference to
+    points[0] is independent of those of the points already chosen, which
+    one incremental fraction-free elimination decides.  The scan stops at
+    dim+1 points, so a full-dimensional cloud is read only as far as its
+    first simplex; a flat one is read to the end.
+    """
+    base = points[0]
+    dim = len(base)
+    chosen = [0]
+    echelon = []
+    for i in range(1, len(points)):
+        w = [a - b for a, b in zip(points[i], base)]
+        for prow, pcol in echelon:
+            x = w[pcol]
+            if x:
+                pv = prow[pcol]
+                w = _reduce_row([pv * a - x * b for a, b in zip(w, prow)])
+        pcol = next((k for k in range(dim) if w[k]), -1)
+        if pcol < 0:
+            continue
+        echelon.append((w, pcol))
+        chosen.append(i)
+        if len(chosen) == dim + 1:
+            break
+    return chosen
+
+
+def hull_facets(points):
+    """Facets and vertices of the convex hull of full-dimensional integer
+    points.
+
+    Returns (facets, vertices).  facets: (outward content-reduced normal,
+    offset, incident point indices) triples, sorted; a facet's incident
+    points are all the points on its hyperplane, repeated points and points
+    on edges included.  vertices: the sorted indices of the extreme points,
+    a repeated one at its first index only.  Dimension 1 takes the minimum
+    and maximum, dimension 2 walks Andrew's monotone chain (O(V log V) plus
+    one incidence scan per edge), whose turning points are the vertices, and
+    higher dimensions run the double description method, where a point is a
+    vertex when the facets through it meet in its own copies alone (see
+    _double_description).
     """
     dim = len(points[0])
     if dim == 1:
@@ -251,8 +286,11 @@ def _interval_facets(points):
     lo, hi = min(xs), max(xs)
     top = ((1,), hi, tuple(i for i, x in enumerate(xs) if x == hi))
     if lo == hi:
-        return [top]
-    return [((-1,), -lo, tuple(i for i, x in enumerate(xs) if x == lo)), top]
+        return [top], [top[2][0]]
+    bottom = ((-1,), -lo, tuple(i for i, x in enumerate(xs) if x == lo))
+    # each end at the first index it has
+    i, j = bottom[2][0], top[2][0]
+    return [bottom, top], [i, j] if i < j else [j, i]
 
 
 def _turn(o, a, b):
@@ -271,8 +309,7 @@ def _polygon_facets(points):
             chain.append(p)
         chain.pop()  # the other sweep starts at this point
     out = []
-    for k, (x0, y0) in enumerate(chain):
-        x1, y1 = chain[(k + 1) % len(chain)]
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:] + chain[:1]):
         # the chain runs counter-clockwise, so cross_rows' normal (dy, -dx)
         # of the edge points out
         a, b = y1 - y0, x0 - x1
@@ -282,43 +319,26 @@ def _polygon_facets(points):
         inc = tuple(i for i, (x, y) in enumerate(points) if a * x + b * y == off)
         out.append(((a, b), off, inc))
     out.sort()
-    return out
+    # index() finds each turning point's first copy
+    return out, sorted(map(points.index, chain))
 
 
 def _simplex_rays(points, dim):
     """The dim+1 facets of a simplex of the points, as (outward normal,
     offset, mask of its points) rays, and the simplex's point indices.
 
-    The first dim+1 affinely independent points are found by one incremental
-    fraction-free elimination of their differences to the first point.  With
-    those differences as the rows of D, the inverse of D^T comes from one
-    more elimination: its row r is orthogonal to every difference but the
-    r-th, so it is normal to the facet that misses that point, and the sum
-    of the rows, each over its pivot, is normal to the facet that misses the
-    first point.
+    The simplex is the affine_prefix of the points.  With the differences of
+    its points to the first as the rows of D, the inverse of D^T comes from
+    one more elimination: its row r is orthogonal to every difference but
+    the r-th, so it is normal to the facet that misses that point, and the
+    sum of the rows, each over its pivot, is normal to the facet that misses
+    the first point.
     """
-    base = points[0]
-    simplex = [0]
-    diffs = []
-    echelon = []
-    for i in range(1, len(points)):
-        diff = [a - b for a, b in zip(points[i], base)]
-        w = diff
-        for prow, pcol in echelon:
-            x = w[pcol]
-            if x:
-                pv = prow[pcol]
-                w = _reduce_row([pv * a - x * b for a, b in zip(w, prow)])
-        pcol = next((k for k in range(dim) if w[k]), -1)
-        if pcol < 0:
-            continue
-        echelon.append((w, pcol))
-        simplex.append(i)
-        diffs.append(diff)
-        if len(simplex) == dim + 1:
-            break
-    else:
+    simplex = affine_prefix(points)
+    if len(simplex) <= dim:
         raise ValueError("points are not full-dimensional")
+    base = points[0]
+    diffs = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]]
     # rows c_r e_r | x_r with x_r . diffs[j] == c_r when j == r, else 0
     m, _ = _eliminate([[d[r] for d in diffs] + [int(r == c) for c in range(dim)]
                        for r in range(dim)], True)
@@ -338,7 +358,8 @@ def _simplex_rays(points, dim):
 
 
 def _double_description(points):
-    """Facets as the extreme rays (a, b) of the cone {a.p_i <= b for all i}.
+    """Facets as the extreme rays (a, b) of the cone {a.p_i <= b for all i},
+    and the vertices.
 
     Integer double description (Motzkin et al. 1953; Fukuda & Prodon 1996):
     the simplex of dim+1 affinely independent points gives the first rays,
@@ -352,6 +373,11 @@ def _double_description(points):
     are at most F of them, the facet count of the cyclic polytope with V
     vertices in R^dim (McMullen's upper bound), and a step tests at most
     F^2 / 4 pairs.
+
+    The final masks also give the vertices.  The facets through a point
+    meet in the smallest face that holds it, and a point is extreme exactly
+    when that face is the point itself: when the meet of the masks of its
+    facets is the mask of its own copies.  An inner point lies on no facet.
     """
     dim = len(points[0])
     need = dim - 1
@@ -390,7 +416,23 @@ def _double_description(points):
                 kept.append(([x // g for x in a], (sp * bn - sn * bp) // g, z | bit))
         rays = kept
     npts = len(points)
-    return sorted(
-        (tuple(a), b, tuple(j for j in range(npts) if m >> j & 1))
-        for a, b, m in rays
-    )
+    facets = []
+    meets = {}
+    for a, b, m in rays:
+        inc = tuple(j for j in range(npts) if m >> j & 1)
+        for j in inc:
+            meets[j] = meets.get(j, m) & m
+        facets.append((tuple(a), b, inc))
+    facets.sort()
+    # the mask of each point's copies, keyed by the point
+    copies = {}
+    for j, p in enumerate(points):
+        copies[p] = copies.get(p, 0) | 1 << j
+    vertices = []
+    for m in copies.values():
+        # a vertex's facets meet in its copies alone; the first copy reports it
+        j = (m & -m).bit_length() - 1
+        if meets.get(j) == m:
+            vertices.append(j)
+    vertices.sort()
+    return facets, vertices

@@ -12,12 +12,16 @@ tests, shadows and ``scale_polytope`` compute on integers.
 One integer hull core serves ``hull_from_vertices``, which scales its points
 to integers first, and ``int_image``, which maps vertex numerators by an
 integer matrix: projections, linear images, direct sums and the factor
-blocks of a split all go through it.  Facets come from
-``kernels.hull_facets`` inside the affine hull: an interval's two ends in
-dimension 1, Andrew's monotone chain in dimension 2, and from dimension 3 on
-the integer double description method, whose cost follows the facet counts
-of the hulls it builds point by point rather than the C(V, d) point subsets:
-25 points in R^5 with 236 facets take about 40 ms, the 5-cube milliseconds.
+blocks of a split all go through it.  The first affinely independent
+points fix the affine hull, and facets and vertices come from
+``kernels.hull_facets`` inside it: an interval's two ends in dimension 1,
+Andrew's monotone chain and its turning points in dimension 2, and from
+dimension 3 on the integer double description method, whose cost follows
+the facet counts of the hulls it builds point by point rather than the
+C(V, d) point subsets.  Its final bit masks are the facet incidence sets,
+and a point is a vertex exactly when the masks of the facets through it
+meet in that point alone, so no rank test runs per point: 25 points in R^5
+with 236 facets take about 9 ms, the 5-cube about 1 ms.
 """
 
 from __future__ import annotations
@@ -213,33 +217,29 @@ def hull_from_vertices(points: Iterable[Sequence[object]]) -> Polytope:
 def _int_hull(n: int, points: Sequence[tuple[int, ...]], den: int) -> Polytope:
     """Hull of the points p / den, for integer points p in R^n and den > 0.
 
-    A lower-dimensional body is hulled in the coordinates y = B p of the
-    integer echelon basis B of its affine hull, and a kernel normal a maps
-    back to the ambient normal B^T a.
+    The first affinely independent points (``kernels.affine_prefix``) give
+    the affine dimension.  A lower-dimensional body is hulled in the
+    coordinates y = B p of the integer echelon basis B of their differences,
+    which span its affine hull, and a kernel normal a maps back to the
+    ambient normal B^T a.  The vertices are the points the kernel reports.
     """
     pts = sorted(set(points))
     if len(pts) == 1:
         return Polytope(n, canonical(pts, den), (), (), 0, ())
 
-    q0 = pts[0]
-    basis = kernels.int_echelon([[a - b for a, b in zip(q, q0)] for q in pts[1:]])
-    adim = len(basis)
+    simplex = kernels.affine_prefix(pts)
+    adim = len(simplex) - 1
     coords = pts
-    if adim < n:
+    if adim == n:
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    else:
+        # the row space of all differences is that of the independent ones
+        q0 = pts[0]
+        basis = kernels.int_echelon([[a - b for a, b in zip(pts[i], q0)]
+                                     for i in simplex[1:]])
         coords = [tuple(sum(b * x for b, x in zip(row, p)) for row in basis)
                   for p in pts]
-    raw_facets = kernels.hull_facets(coords)
-
-    extreme: list[int] = []
-    active: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(len(pts))}
-    for nrm, _, inc in raw_facets:
-        for i in inc:
-            active[i].append(nrm)
-    for i, normals in active.items():
-        # a vertex's facet normals have rank adim; up to dimension 2, any
-        # adim distinct facets through a point have independent normals
-        if len(normals) >= adim and (adim <= 2 or kernels.int_rank(normals) == adim):
-            extreme.append(i)
+    raw_facets, extreme = kernels.hull_facets(coords)
     new_index = {old: new for new, old in enumerate(extreme)}
 
     rows = []

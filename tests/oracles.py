@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: ranks and
 nullspaces come from sympy, hulls are checked by reconstructing vertices
 from the half-space side (H-to-V, the reverse of the library's V-to-H),
 facets are found by trying every point subset (its normals come from
-``kernels.cross_rows``, which the library's hull does not use), LP optima
+``kernels.cross_rows``, which the library's hull does not use), vertices by
+the rank of the facet normals through each point, LP optima
 are recomputed by enumerating basic solutions, and circuits and
 simplicial families are found by testing every subset in turn rather than by
 the library's depth-first search.  The membership, containment and LP
@@ -198,6 +199,23 @@ def scan_facets(points) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
             b = -b
         found.setdefault((nrm, b), tuple(i for i, s in enumerate(sides) if s == 0))
     return sorted((n, b, inc) for (n, b), inc in found.items())
+
+
+def rank_vertices(points, facets) -> list[int]:
+    """The extreme points among full-dimensional integer points, in the form
+    of ``kernels.hull_facets``' vertex list, by the rank rule: a point is a
+    vertex when the normals of the facets through it have rank dim.  A
+    repeated point is reported at its first index only.
+    """
+    dim = len(points[0])
+    out = []
+    for i, p in enumerate(points):
+        if points.index(p) != i:
+            continue
+        normals = [a for a, _, inc in facets if i in inc]
+        if len(normals) >= dim and sy_rank(normals) == dim:
+            out.append(i)
+    return out
 
 
 def hrep_vertices(facets, dim) -> set[tuple[Fraction, ...]]:

@@ -1,5 +1,6 @@
-"""The integer kernels: circuits and their garbage, canonical row bases, and
-hull facets against the subset scan."""
+"""The integer kernels: circuits and their garbage, canonical row bases,
+hull facets against the subset scan and hull vertices against the rank
+rule."""
 
 import gc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_facets, simplicial_families
+from oracles import rank_vertices, scan_facets, simplicial_families, sy_rank
 from shadowcover import backend_name, kernels
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -103,14 +104,17 @@ def low_dim_clouds(draw):
 @given(low_dim_clouds())
 @settings(max_examples=300, deadline=None)
 def test_low_dimensional_hulls_match_subset_scan(pts):
-    assert kernels.hull_facets(pts) == scan_facets(pts)
+    facets, vertices = kernels.hull_facets(pts)
+    assert facets == scan_facets(pts)
+    assert vertices == rank_vertices(pts, facets)
 
 
 def test_polygon_keeps_collinear_edge_points():
     pts = [(0, 0), (2, 0), (1, 0), (2, 2), (0, 2), (1, 1), (2, 1), (0, 0)]
-    facets = kernels.hull_facets(pts)
+    facets, vertices = kernels.hull_facets(pts)
     assert facets == scan_facets(pts)
     assert ((0, -1), 0, (0, 1, 2, 7)) in facets
+    assert vertices == [0, 1, 3, 4]
 
 
 def _solid_points(dim, cube):
@@ -163,14 +167,16 @@ def full_dim_clouds(draw):
 @given(full_dim_clouds())
 @settings(max_examples=150, deadline=None)
 def test_double_description_matches_subset_scan(pts):
-    assert kernels.hull_facets(pts) == scan_facets(pts)
+    facets, vertices = kernels.hull_facets(pts)
+    assert facets == scan_facets(pts)
+    assert vertices == rank_vertices(pts, facets)
 
 
 def test_grid_facets_hold_every_grid_point():
     """The 4x4x4 grid: six square facets of 16 points each, faces and
     edges included."""
     pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
-    facets = kernels.hull_facets(pts)
+    facets, _ = kernels.hull_facets(pts)
     assert [(a, b) for a, b, _ in facets] == [
         ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0),
         ((0, 0, 1), 3), ((0, 1, 0), 3), ((1, 0, 0), 3)]
@@ -182,3 +188,56 @@ def test_grid_facets_hold_every_grid_point():
 def test_flat_points_are_refused():
     with pytest.raises(ValueError, match="not full-dimensional"):
         kernels.hull_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def test_grid_vertices_are_its_corners():
+    """Every edge and face point of the 4x4x4 grid lies on a facet, but
+    only the 8 corners are vertices."""
+    pts = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
+    _, vertices = kernels.hull_facets(pts)
+    assert [pts[i] for i in vertices] == [
+        (x, y, z) for x in (0, 3) for y in (0, 3) for z in (0, 3)]
+
+
+def test_edge_midpoints_on_dim_facets_are_not_vertices():
+    """The 4-cross-polytope with vertices +-2 e_i and its 24 edge midpoints:
+    a midpoint such as (1, 1, 0, 0) lies on 4 facets, as many as a vertex
+    of R^4 does, but their normals have rank 3, so only the 8 tips are
+    vertices."""
+    verts, extra = _solid_points(4, False)
+    mids = extra[:-2]
+    pts = mids + verts
+    facets, vertices = kernels.hull_facets(pts)
+    assert len(mids) == 24 and len(facets) == 16
+    assert all(sum(i in inc for _, _, inc in facets) == 4 for i in range(len(mids)))
+    assert vertices == list(range(len(mids), len(pts)))
+    assert vertices == rank_vertices(pts, facets)
+
+
+@pytest.mark.parametrize("pts, expect", [
+    ([(3,), (0,), (3,), (1,), (0,)], [0, 1]),
+    ([(1, 1), (0, 0), (1, 0), (0, 0), (1, 1), (0, 1)], [0, 1, 2, 5]),
+    ([(1, 1, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 1, 0),
+      (1, 0, 0), (0, 0, 1), (0, 0, 1)], [0, 1, 2, 4, 6]),
+])
+def test_repeated_points_are_reported_at_first_index(pts, expect):
+    """A repeated extreme point is one vertex, reported at the first index
+    it has; every copy stays incident to its facets."""
+    facets, vertices = kernels.hull_facets(pts)
+    assert vertices == expect
+    for a, b, inc in facets:
+        assert inc == tuple(i for i, p in enumerate(pts) if kernels.int_dot(a, p) == b)
+
+
+@given(full_dim_clouds())
+@settings(max_examples=60, deadline=None)
+def test_affine_prefix_is_the_first_simplex(pts):
+    """affine_prefix takes each point whose difference to the first raises
+    the rank, and stops at dim + 1 points."""
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
+    expect = [0]
+    for i in range(1, len(pts)):
+        if len(expect) <= len(pts[0]) and (
+                sy_rank([diffs[j] for j in expect[1:]] + [diffs[i]]) == len(expect)):
+            expect.append(i)
+    assert kernels.affine_prefix(pts) == expect

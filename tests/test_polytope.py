@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     embed,
     hrep_vertices,
     matvec,
     random_symmetric_polytope,
+    rank_vertices,
+    scan_facets,
     sy_coords,
     sy_inverse,
     sy_rank,
@@ -413,6 +415,38 @@ def test_hull_matches_hrep_oracle(cloud):
         p.vertices
     )
     assert set(p.vertices) <= {vector(q) for q in pts}
+
+
+@st.composite
+def flat_clouds_in_r5(draw):
+    """A full-dimensional integer cloud Q in R^3 or R^4 with repeats, and
+    its image M Q + t in R^5 under an injective integer map M."""
+    k = draw(st.sampled_from((3, 4)))
+    grid = st.tuples(*[st.integers(-2, 2)] * k)
+    cloud = draw(st.lists(grid, min_size=k + 1, max_size=10))
+    assume(sy_rank([[a - b for a, b in zip(p, cloud[0])] for p in cloud]) == k)
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 5), min_size=k, max_size=k))
+    assume(sy_rank(cols) == k)
+    shift = draw(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+    image = [tuple(o + sum(x * c[j] for x, c in zip(q, cols))
+                   for j, o in enumerate(shift)) for q in cloud]
+    return cloud, image
+
+
+@given(flat_clouds_in_r5())
+@settings(max_examples=60, deadline=None)
+def test_flat_hull_in_r5_matches_its_own_coordinates(clouds):
+    """A flat cloud of affine dimension 3 or 4 in R^5 is hulled in the
+    coordinates of its affine hull: its vertices are the images of the rank
+    rule's vertices of Q, and its facets those of Q's subset scan."""
+    cloud, image = clouds
+    p = hull_from_vertices(image)
+    facets = scan_facets(cloud)
+    assert p.affine_dim == len(cloud[0]) and p.dim == 5
+    assert set(p.vertices) == {vector(image[i]) for i in rank_vertices(cloud, facets)}
+    verts = set(p.vertices)
+    assert {frozenset(p.vertices[i] for i in inc) for inc in p.incidences} == {
+        frozenset(vector(image[i]) for i in inc) & verts for _, _, inc in facets}
 
 
 def _seeded_body(rng, n):
