@@ -8,10 +8,15 @@ row denominator with their common gcd divided out after every update (in
 the line of Edmonds 1967 and Bareiss 1968).  It
 holds exactly the rationals of the ``Fraction`` tableau at every step, so
 its pivots, outcomes and witnesses are identical to those of the rational
-simplex.  Its only columns are the structural ones, one slack per
-constraint and the right-hand side: artificial variables exist only as
-basis labels, since no step reads their columns.  Pivoting uses Bland's
-smallest index rule, so the solver terminates on every input.  Every
+simplex.  It stores only the nonbasic columns and the right-hand side, the
+dictionary form of the simplex method (Chvatal 1983): of the full tableau's
+structural columns and one slack per constraint, the basic ones are unit
+columns, which no step needs to read.  A row's omitted entries are 0 or its
+own unit, neither of which changes the gcd it is divided by, so every kept
+integer is the full tableau's.  Artificial variables exist only as basis
+labels and never get a column.  Pivoting uses Bland's smallest index rule
+on the full tableau's column labels, so the solver terminates on every
+input and takes the full tableau's pivots.  Every
 outcome carries an exactly checkable witness:
 
 * Optimal: a point satisfying all constraints, achieving the value.
@@ -127,181 +132,217 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
     return row, den
 
 
-def _cancel(
-    row: list[int], den: int, prow: list[int], q: int, j: int
-) -> tuple[list[int], int]:
-    """row/den minus row[j]/den times prow/q, where prow[j] == q.
-
-    Clears column j of the row (one elimination step of a pivot).
-    """
-    f = row[j]
-    return _reduced([x * q - f * y for x, y in zip(row, prow)], den * q)
-
-
 class _Tableau:
-    """Dense simplex tableau in canonical form (basis columns are units).
+    """Simplex tableau in dictionary form: only the nonbasic columns.
 
-    Each row holds the structural y columns, one slack per constraint and the
-    right-hand side: width ny + m + 1.  A row with negative right-hand side
-    is negated and starts with an artificial basic in it, labelled ny + m + k
-    in ``basis`` but given no column: no step ever reads one.  Row i holds
-    the rationals ``rows[i][k] / dens[i]`` with ``dens[i] > 0`` and the gcd of
-    the row and its denominator divided out after every update; the objective
-    row is ``z / zden`` likewise.  These are exactly the entries of the
-    rational tableau, so signs are read off numerators and ratio tests compare
+    The full tableau has the structural y columns, one slack per constraint
+    and the right-hand side.  In canonical form a basic column is a unit in
+    its own row and 0 in every other row and in the objective row, so only
+    the nonbasic columns are stored: ``labels[p]`` names the full-tableau
+    column held at position p, and the right-hand side comes last.  A row
+    with negative right-hand side is negated and starts with an artificial
+    basic in it, labelled ny + m + k in ``basis`` but given no column: no
+    step ever reads one.  Row i holds the rationals ``rows[i][p] / dens[i]``
+    with ``dens[i] > 0`` and the gcd of the row and its denominator divided
+    out after every update; ``rows[m]`` is the objective row.  The entries
+    left out are 0 or the row's own unit ``dens[i] / dens[i]``, neither of
+    which changes that gcd, so every kept integer is the one the full
+    fraction-free tableau holds, and those are exactly the entries of the
+    rational tableau: signs are read off numerators and ratio tests compare
     cross products.
     """
 
     def __init__(self, p: LPProblem):
         self.p = p
-        nvars = len(p.objective)
         self.cols: list[tuple[int, int]] = []  # (variable, sign) per y column
-        for j in range(nvars):
+        for j in range(len(p.objective)):
             self.cols.append((j, 1))
             if not p.nonneg[j]:
                 self.cols.append((j, -1))
-        self.ny = len(self.cols)
-        m = len(p.constraints)
-        self.m = m
-        self.rhs = self.ny + m
-        self.width = self.rhs + 1
-        self.art_col: dict[int, int] = {}  # row -> artificial basis label
+        self.ny = ny = len(self.cols)
+        self.m = m = len(p.constraints)
+        self.rhs = ny + m  # the first artificial label
+        # the slacks of negated rows are nonbasic; the others are basic units
+        self.art_rows = [i for i, (_, bn, _) in enumerate(p.constraints) if bn < 0]
+        self.labels = list(range(ny)) + [ny + i for i in self.art_rows]
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
         self.basis: list[int] = []
+        k = 0
         for i, (an, bn, den) in enumerate(p.constraints):
-            # the row signed so the right-hand side is nonnegative; the
-            # slack's entry is s * den
+            # the row signed so the right-hand side is nonnegative
             s = 1 if bn >= 0 else -1
-            row = [s * sg * an[j] for j, sg in self.cols] + [0] * (m + 1)
-            row[self.ny + i] = s * den
-            row[self.rhs] = s * bn
-            if s < 0:
-                self.art_col[i] = self.rhs + len(self.art_col)
-            self.basis.append(self.art_col.get(i, self.ny + i))
+            row = [s * sg * an[j] for j, sg in self.cols] + [0] * len(self.art_rows)
+            row.append(s * bn)
+            if s > 0:
+                self.basis.append(ny + i)
+            else:
+                row[ny + k] = -den
+                self.basis.append(self.rhs + k)
+                k += 1
             nums, den = _reduced(row, den)
             self.rows.append(nums)
             self.dens.append(den)
-        self.z: list[int] = [0] * self.width
-        self.zden = 1
+        self.rows.append([0] * (len(self.labels) + 1))
+        self.dens.append(1)
 
-    def eliminate(self, i: int, j: int) -> None:
-        """Clear column j from the objective row using row i (entry 1 there)."""
-        if self.z[j]:
-            self.z, self.zden = _cancel(
-                self.z, self.zden, self.rows[i], self.dens[i], j
-            )
-
-    def pivot(self, i: int, j: int) -> None:
-        prow = self.rows[i]
-        q = prow[j]
+    def pivot(self, i: int, p: int) -> None:
+        """Pivot on row i at position p: ``labels[p]`` enters the basis and
+        the leaving basic's column takes position p, or is deleted if it is
+        an artificial."""
+        rows, dens, labels = self.rows, self.dens, self.labels
+        prow = rows[i]
+        q = prow[p]
+        leaving = self.basis[i]
+        self.basis[i] = labels[p]
+        art = leaving >= self.rhs
+        if art:
+            del labels[p], prow[p]
+        else:
+            # the leaving column is row i's unit: dens[i] in row i, 0 elsewhere
+            labels[p] = leaving
+            prow[p] = dens[i]
+        # row i becomes prow / q, whose entry in the entering column is 1;
+        # dividing by -g also flips the sign when q < 0
+        g = gcd(q, *prow)
         if q < 0:
-            prow = [-x for x in prow]
-            q = -q
-        # row i becomes prow / q, whose entry in column j is 1
-        prow, q = _reduced(prow, q)
-        self.rows[i] = prow
-        self.dens[i] = q
-        rows, dens = self.rows, self.dens
-        for r in range(self.m):
-            if r != i and rows[r][j]:
-                rows[r], dens[r] = _cancel(rows[r], dens[r], prow, q, j)
-        self.eliminate(i, j)
-        self.basis[i] = j
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+            q //= g
+        rows[i] = prow
+        dens[i] = q
+        for r, row in enumerate(rows):
+            if r == i:
+                continue
+            if art:
+                f = row.pop(p)
+            else:
+                f = row[p]
+                row[p] = 0
+            if f:
+                row = [x * q - f * y for x, y in zip(row, prow)]
+                d = dens[r] * q
+                g = gcd(d, *row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    d //= g
+                rows[r] = row
+                dens[r] = d
 
-    def bland(self) -> str:
-        """Run Bland iterations until optimal or unbounded."""
-        rhs = self.rhs
+    def bland(self) -> int | None:
+        """Run Bland iterations: None once optimal, else the position of an
+        improving column that no row bounds (unbounded)."""
+        rows, labels, basis, m = self.rows, self.labels, self.basis, self.m
         while True:
-            z = self.z
+            # Bland's rule: the improving column with the smallest label
+            z = rows[m]
             enter = -1
-            for j in range(rhs):
-                if z[j] > 0:
-                    enter = j
-                    break
+            for p in range(len(labels)):
+                if z[p] > 0 and (enter < 0 or labels[p] < labels[enter]):
+                    enter = p
             if enter < 0:
-                return "optimal"
+                return None
             # rhs_i and coef_i share row i's denominator, so the ratio is a
             # quotient of numerators and two ratios compare as cross products
             # (both coefficients positive): same argmin, same ties
             leave = -1
             best_rhs = best_coef = 0
-            for i, row in enumerate(self.rows):
+            for i in range(m):
+                row = rows[i]
                 coef = row[enter]
                 if coef > 0:
                     if leave >= 0:
-                        lhs = row[rhs] * best_coef
+                        lhs = row[-1] * best_coef
                         other = best_rhs * coef
-                        if lhs > other or (
-                            lhs == other and self.basis[i] > self.basis[leave]
-                        ):
+                        if lhs > other or (lhs == other and basis[i] > basis[leave]):
                             continue
-                    leave, best_rhs, best_coef = i, row[rhs], coef
+                    leave, best_rhs, best_coef = i, row[-1], coef
             if leave < 0:
-                self.unbounded_col = enter
-                return "unbounded"
+                return enter
             self.pivot(leave, enter)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.rows[i][j], self.dens[i])
-
     def point(self) -> Vector:
-        nvars = len(self.p.objective)
-        x = [ZERO] * nvars
+        x = [ZERO] * len(self.p.objective)
         for i, bcol in enumerate(self.basis):
             if bcol < self.ny:
                 j, sg = self.cols[bcol]
-                x[j] += sg * self.entry(i, self.rhs)
+                x[j] += sg * Fraction(self.rows[i][-1], self.dens[i])
         return tuple(x)
 
     def ray(self, enter: int) -> Vector:
         # x-space recession direction as the entering column grows; an
         # entering slack contributes only through the basic adjustments
-        nvars = len(self.p.objective)
-        r = [ZERO] * nvars
-        if enter < self.ny:
-            j, sg = self.cols[enter]
+        r = [ZERO] * len(self.p.objective)
+        label = self.labels[enter]
+        if label < self.ny:
+            j, sg = self.cols[label]
             r[j] += Fraction(sg)
         for i, bcol in enumerate(self.basis):
             if bcol < self.ny:
-                jj, sg2 = self.cols[bcol]
-                r[jj] += sg2 * (-self.entry(i, enter))
+                j, sg = self.cols[bcol]
+                r[j] -= sg * Fraction(self.rows[i][enter], self.dens[i])
         return tuple(r)
 
 
 def _simplex(p: LPProblem) -> LPOutcome:
     t = _Tableau(p)
-    if t.art_col:
+    m = t.m
+    if t.art_rows:
         # phase-1 objective: minus the sum of the artificials, which over the
         # structural and slack columns is the sum of the rows they start in
-        den = lcm(*[t.dens[i] for i in t.art_col])
-        z = [0] * t.width
-        for i in t.art_col:
+        den = lcm(*[t.dens[i] for i in t.art_rows])
+        z = t.rows[m]
+        for i in t.art_rows:
             scale = den // t.dens[i]
             z = [a + scale * b for a, b in zip(z, t.rows[i])]
-        t.z, t.zden = _reduced(z, den)
-        if t.bland() != "optimal":
+        t.rows[m], t.dens[m] = _reduced(z, den)
+        if t.bland() is not None:
             raise AssertionError("phase 1 cannot be unbounded")
-        if t.z[t.rhs] > 0:
+        z, zden = t.rows[m], t.dens[m]
+        if z[-1] > 0:
             # dual read-off (Chvatal 1983): the final phase-1 row is a
             # combination sum w_i R_i of the initial rows, and slack i has
             # entry sigma_i in R_i only, so lam_i = -w_i sigma_i is minus
-            # slack i's entry; its optimality gives the Farkas signs
-            return Infeasible(
-                tuple(Fraction(-t.z[t.ny + i], t.zden) for i in range(t.m))
-            )
+            # slack i's entry, 0 where slack i is basic; its optimality
+            # gives the Farkas signs
+            lam = [ZERO] * m
+            for label, c in zip(t.labels, z):
+                if label >= t.ny:
+                    lam[label - t.ny] = Fraction(-c, zden)
+            return Infeasible(tuple(lam))
         # drive leftover artificials out of the basis; the slack columns have
-        # full row rank, so every row has a nonzero real entry to pivot on
-        for i in range(t.m):
+        # full row rank, so every row has a nonzero real entry to pivot on,
+        # and the smallest such label is taken
+        for i in range(m):
             if t.basis[i] >= t.rhs:
-                t.pivot(i, next(j for j in range(t.rhs) if t.rows[i][j]))
+                row = t.rows[i]
+                t.pivot(i, min(
+                    (p for p in range(len(t.labels)) if row[p]),
+                    key=t.labels.__getitem__,
+                ))
 
+    # phase-2 objective: its coefficients on the nonbasic positions, the
+    # right-hand side, then on each row's basic column; each basic one is
+    # eliminated with its row in turn, as the full tableau does
     (obj,), den = to_ints((p.objective,))
-    t.z, t.zden = _reduced([sg * obj[j] for j, sg in t.cols] + [0] * (t.m + 1), den)
-    for i, bcol in enumerate(t.basis):
-        t.eliminate(i, bcol)
-    if t.bland() == "unbounded":
-        return Unbounded(t.ray(t.unbounded_col))
+    coef = [sg * obj[j] for j, sg in t.cols] + [0] * m
+    n = len(t.labels) + 1
+    z = [coef[label] for label in t.labels] + [0] + [coef[b] for b in t.basis]
+    z, den = _reduced(z, den)
+    for i in range(m):
+        f = z[n + i]
+        if f:
+            q = t.dens[i]
+            tail = [x * q for x in z[n:]]
+            tail[i] = 0
+            z, den = _reduced(
+                [x * q - f * y for x, y in zip(z, t.rows[i])] + tail, den * q
+            )
+    t.rows[m], t.dens[m] = z[:n], den
+    enter = t.bland()
+    if enter is not None:
+        return Unbounded(t.ray(enter))
     x = t.point()
     return Optimal(x, dot(p.objective, x))
 

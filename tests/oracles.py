@@ -5,8 +5,9 @@ nullspaces come from sympy, hulls are checked by reconstructing vertices
 from the half-space side (H-to-V, the reverse of the library's V-to-H),
 facets are found by trying every point subset (its normals come from
 ``kernels.cross_rows``, which the library's hull does not use), vertices by
-the rank of the facet normals through each point, LP optima
-are recomputed by enumerating basic solutions, and circuits and
+the rank of the facet normals through each point, LP optima are recomputed
+by enumerating basic solutions, LP pivots are replayed on the full-width
+simplex tableau that the library's compact one replaced, and circuits and
 simplicial families are found by testing every subset in turn rather than by
 the library's depth-first search.  The membership, containment and LP
 feasibility checks that the library runs in integers are kept here in their
@@ -32,7 +33,7 @@ import sympy
 from shadowcover.containment import ContainmentVerdict, translate_fit
 from shadowcover.kernels import cross_rows
 from shadowcover.linalg import to_ints, vector
-from shadowcover.lp import LPProblem
+from shadowcover.lp import Infeasible, LPOutcome, LPProblem, Optimal, Unbounded
 from shadowcover.polytope import hull_from_vertices
 
 
@@ -338,6 +339,163 @@ def lp_problem(objective, constraints, nonneg=()) -> LPProblem:
     rows = [to_ints(((*vector(a), Fraction(b)),)) for a, b in constraints]
     cons = tuple((row[:-1], row[-1], den) for (row,), den in rows)
     return LPProblem(vector(objective), cons, tuple(bool(f) for f in nonneg))
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g > 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+class _FullTableau:
+    """The simplex tableau with every structural, slack and right-hand side
+    column, as the library held it before it kept only the nonbasic ones.
+
+    Rows are integer numerators over a positive denominator, divided down to
+    lowest terms after every update; the objective row is ``z / zden``.  A
+    row with negative right-hand side is negated and starts with an
+    artificial basic, labelled ny + m + k and given no column.  Column j of
+    the tableau is the column labelled j in the library's compact one.
+    """
+
+    def __init__(self, p: LPProblem):
+        self.p = p
+        self.cols = [(j, sg) for j in range(len(p.objective))
+                     for sg in ((1,) if p.nonneg[j] else (1, -1))]
+        self.ny = len(self.cols)
+        self.m = len(p.constraints)
+        self.rhs = self.ny + self.m
+        self.art_rows: list[int] = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        self.basis: list[int] = []
+        self.pivots: list[tuple[int, int]] = []
+        for i, (an, bn, den) in enumerate(p.constraints):
+            s = 1 if bn >= 0 else -1
+            row = [s * sg * an[j] for j, sg in self.cols] + [0] * (self.m + 1)
+            row[self.ny + i] = s * den
+            row[self.rhs] = s * bn
+            if s < 0:
+                self.basis.append(self.rhs + len(self.art_rows))
+                self.art_rows.append(i)
+            else:
+                self.basis.append(self.ny + i)
+            nums, den = _reduced(row, den)
+            self.rows.append(nums)
+            self.dens.append(den)
+        self.z = [0] * (self.rhs + 1)
+        self.zden = 1
+
+    def eliminate(self, i: int, j: int) -> None:
+        """Clear column j from the objective row using row i (entry 1 there)."""
+        f = self.z[j]
+        if f:
+            q = self.dens[i]
+            self.z, self.zden = _reduced(
+                [x * q - f * y for x, y in zip(self.z, self.rows[i])], self.zden * q
+            )
+
+    def pivot(self, i: int, j: int) -> None:
+        self.pivots.append((i, j))
+        prow = self.rows[i]
+        q = prow[j]
+        if q < 0:
+            prow = [-x for x in prow]
+            q = -q
+        prow, q = _reduced(prow, q)
+        self.rows[i], self.dens[i] = prow, q
+        for r in range(self.m):
+            f = self.rows[r][j]
+            if r != i and f:
+                self.rows[r], self.dens[r] = _reduced(
+                    [x * q - f * y for x, y in zip(self.rows[r], prow)],
+                    self.dens[r] * q,
+                )
+        self.eliminate(i, j)
+        self.basis[i] = j
+
+    def bland(self) -> int | None:
+        """Bland iterations: None at an optimum, else an improving column
+        that no row bounds."""
+        rhs = self.rhs
+        while True:
+            enter = next((j for j in range(rhs) if self.z[j] > 0), None)
+            if enter is None:
+                return None
+            leave = -1
+            for i, row in enumerate(self.rows):
+                coef = row[enter]
+                if coef <= 0:
+                    continue
+                if leave >= 0:
+                    best = self.rows[leave]
+                    lhs, other = row[rhs] * best[enter], best[rhs] * coef
+                    if lhs > other or (
+                        lhs == other and self.basis[i] > self.basis[leave]
+                    ):
+                        continue
+                leave = i
+            if leave < 0:
+                return enter
+            self.pivot(leave, enter)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self.rows[i][j], self.dens[i])
+
+    def point(self) -> tuple[Fraction, ...]:
+        x = [Fraction(0)] * len(self.p.objective)
+        for i, bcol in enumerate(self.basis):
+            if bcol < self.ny:
+                j, sg = self.cols[bcol]
+                x[j] += sg * self.entry(i, self.rhs)
+        return tuple(x)
+
+    def ray(self, enter: int) -> tuple[Fraction, ...]:
+        r = [Fraction(0)] * len(self.p.objective)
+        if enter < self.ny:
+            j, sg = self.cols[enter]
+            r[j] += sg
+        for i, bcol in enumerate(self.basis):
+            if bcol < self.ny:
+                j, sg = self.cols[bcol]
+                r[j] -= sg * self.entry(i, enter)
+        return tuple(r)
+
+
+def full_tableau_simplex(p: LPProblem) -> tuple[LPOutcome, list[tuple[int, int]]]:
+    """Two-phase simplex with Bland's rule on the full-width tableau.
+
+    Returns the outcome and every pivot as (leaving row, entering column),
+    in order.  Its outcomes are those of the rational simplex, so the
+    library's compact tableau must take the same pivots.
+    """
+    t = _FullTableau(p)
+    if t.art_rows:
+        # phase 1: minus the sum of the artificials is the sum of their rows
+        den = lcm(*[t.dens[i] for i in t.art_rows])
+        z = [0] * (t.rhs + 1)
+        for i in t.art_rows:
+            z = [a + den // t.dens[i] * b for a, b in zip(z, t.rows[i])]
+        t.z, t.zden = _reduced(z, den)
+        if t.bland() is not None:
+            raise AssertionError("phase 1 cannot be unbounded")
+        if t.z[t.rhs] > 0:
+            lam = tuple(Fraction(-t.z[t.ny + i], t.zden) for i in range(t.m))
+            return Infeasible(lam), t.pivots
+        for i in range(t.m):
+            if t.basis[i] >= t.rhs:
+                t.pivot(i, next(j for j in range(t.rhs) if t.rows[i][j]))
+    (obj,), den = to_ints((p.objective,))
+    t.z, t.zden = _reduced([sg * obj[j] for j, sg in t.cols] + [0] * (t.m + 1), den)
+    for i, bcol in enumerate(t.basis):
+        t.eliminate(i, bcol)
+    enter = t.bland()
+    if enter is not None:
+        return Unbounded(t.ray(enter)), t.pivots
+    x = t.point()
+    value = sum((Fraction(c) * xi for c, xi in zip(p.objective, x)), Fraction(0))
+    return Optimal(x, value), t.pivots
 
 
 def random_symmetric_polytope(seed: int, n: int, pair_count: int, coord_bound: int):

@@ -526,3 +526,63 @@ def test_flat_covers_pinned_by_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "315a5cd456c306e7a6067a16079d3d33d0f399818e1530cdd74eb32ed8815b66"
     )
+
+
+def _pinned_full_cases():
+    """Seeded full-dimensional covers L in R^3..R^5 with 18-26 facets and
+    rational vertices, each with a moved body K at the grid scales just
+    below and just above its largest fitting scale."""
+    import random
+
+    rng = random.Random("full-pin")
+
+    def draw(n, count, bound, accept):
+        while True:
+            shift = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            pts = [tuple(rng.randint(-bound, bound) + s for s in shift)
+                   for _ in range(count)]
+            p = hull_from_vertices(pts)
+            if p.is_full_dimensional and accept(p):
+                return p
+
+    for n, npoints, lo, hi in ((3, 14, 18, 22), (4, 9, 20, 24), (5, 8, 20, 26)):
+        for _ in range(4):
+            while True:
+                l = draw(n, npoints, 8, lambda p: lo <= len(p.facets) <= hi)
+                k0 = draw(n, n + 2, 3, lambda p: len(p.vertices) == n + 2)
+                alpha, _ = max_scale(k0, l)
+                if alpha >= F(1, 4):
+                    break
+            below = F(int(alpha * 16), 16)
+            if below == alpha:
+                below -= F(1, 16)
+            for c in (below, below + F(1, 16)):
+                yield scale_polytope(k0, c), l
+
+
+def test_full_covers_pinned_by_digest():
+    """Verdict documents of translate_fit and max_scale on 12 seeded
+    full-dimensional covers in R^3..R^5 of 18-26 facets, the size of the
+    benchmark's containment LPs, with K just inside and just outside L.
+    The digest was recorded from the full-width simplex tableau, before
+    the tableau kept only its nonbasic columns."""
+    import json
+
+    from shadowcover.cli import _verdict_doc
+
+    docs = []
+    for k, l in _pinned_full_cases():
+        alpha, v = max_scale(k, l)
+        docs.append({
+            "dim": l.dim,
+            "facets": len(l.facets),
+            "fit": _verdict_doc(translate_fit(k, l)),
+            "scale": {"alpha": str(alpha), "witness": [str(x) for x in v]},
+        })
+    assert [d["dim"] for d in docs] == [3] * 8 + [4] * 8 + [5] * 8
+    assert all(18 <= d["facets"] <= 26 for d in docs)
+    assert [d["fit"]["fits"] for d in docs] == [True, False] * 12
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6c5ceaeedead2cd63e26c6d5279c93c6423b46b4585c48bb5365796c00047157"
+    )

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frac_farkas, grid_rationals, lp_optimum_by_enumeration, lp_problem
+from oracles import (
+    frac_farkas,
+    full_tableau_simplex,
+    grid_rationals,
+    lp_optimum_by_enumeration,
+    lp_problem,
+)
+from shadowcover import lp
 from shadowcover.lp import (
     Infeasible,
     LPProblem,
@@ -253,3 +260,60 @@ def test_outcomes_pinned_to_rational_simplex():
     assert digest == (
         "d715e0732ae2c3ddafea3ea4e2ba9fa3642bf12ecbb4fb9e3e31df56b3cf66f2"
     )
+
+
+def _contain_sized_lps():
+    """300 seeded LPs of the containment tests' size: 3 to 5 free variables
+    (and at times a sign-restricted one, as in max_scale), 18 to 26 rows
+    around a rational point, many with a negative right-hand side, with
+    repeated rows and equality pairs that leave artificials in the basis
+    after phase 1, and some rows pushed past the point to make it
+    infeasible."""
+    rng = random.Random("contain-sized")
+    for _ in range(300):
+        n = rng.randint(3, 5)
+        nonneg = (rng.random() < 0.5,) + (False,) * (n - 1)
+        x0 = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        if nonneg[0]:
+            x0[0] = abs(x0[0])
+        rows = rng.randint(18, 26)
+        cons = []
+        while len(cons) < rows:
+            a = tuple(rng.randint(-4, 4) for _ in range(n))
+            b = sum((c * x for c, x in zip(a, x0)), F(0))
+            cut = rng.random()
+            if cut < 0.15:
+                cons += [(a, b), (tuple(-c for c in a), -b)]
+                continue
+            b += F(rng.randint(-1 if cut < 0.25 else 0, 4), rng.randint(1, 3))
+            cons.append((a, b))
+            if rng.random() < 0.1:
+                cons.append((a, b))
+        objective = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+        yield lp_problem(objective, cons[:rows], nonneg)
+
+
+def test_pivots_match_full_tableau(monkeypatch):
+    """The compact tableau takes the full-width tableau's pivots, in order,
+    and reaches its outcome, on the pinned small LPs and on containment-sized
+    ones.  A pivot is (leaving row, label of the entering column)."""
+    pivots = []
+    pivot = lp._Tableau.pivot
+
+    def recording(t, i, p):
+        pivots.append((i, t.labels[p]))
+        pivot(t, i, p)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    kinds = []
+    for case in (_pinned_lps, _contain_sized_lps):
+        counts = {"O": 0, "I": 0, "U": 0}
+        for p in case():
+            pivots.clear()
+            want, want_pivots = full_tableau_simplex(p)
+            assert lp._simplex(p) == want
+            assert pivots == want_pivots
+            counts[type(want).__name__[0]] += 1
+        kinds.append(counts)
+    assert kinds[0] == {"O": 132, "I": 228, "U": 140}
+    assert kinds[1]["O"] and kinds[1]["I"]
