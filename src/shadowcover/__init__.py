@@ -47,11 +47,11 @@ from .polytope import (
     apply_linear,
     direct_sum,
     direct_sum_assemble,
+    hull_certificate_valid,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
     scale_polytope,
-    vector_area_check,
 )
 from .reliability import (
     DirectionSet,
@@ -102,6 +102,7 @@ __all__ = [
     "direction_set",
     "extract_factors",
     "facet_direction_set",
+    "hull_certificate_valid",
     "hull_from_vertices",
     "is_centrally_symmetric",
     "is_decomposable",
@@ -113,6 +114,5 @@ __all__ = [
     "scale_polytope",
     "solve_lp",
     "translate_fit",
-    "vector_area_check",
     "verify_bundle",
 ]

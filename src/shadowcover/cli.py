@@ -46,10 +46,10 @@ from .jsonio import (
 from .polytope import (
     Polytope,
     Subspace,
+    hull_certificate_valid,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
-    vector_area_check,
 )
 from .reliability import (
     DirectionSet, facet_direction_set, family_search_space, is_reliable,
@@ -133,17 +133,17 @@ def cmd_validate(args) -> int:
         )
     round_trip = hull_from_vertices(p.vertices) == p
     if p.is_full_dimensional:
-        area_ok = vector_area_check(p)
-        area_note = "pass" if area_ok else "FAIL"
+        cert_ok = hull_certificate_valid(p)
+        cert_note = "pass" if cert_ok else "FAIL"
     else:
-        area_ok = True
-        area_note = "skipped (not full-dimensional)"
+        cert_ok = True
+        cert_note = "skipped (not full-dimensional)"
     centre = is_centrally_symmetric(p)
-    passed = round_trip and area_ok
+    passed = round_trip and cert_ok
     result = {
         "summary": _poly_summary(p),
         "round_trip": round_trip,
-        "vector_area_check": area_note,
+        "hull_certificate": cert_note,
         "centrally_symmetric": _vec(centre) if centre is not None else None,
         "facets": [
             {"normal": _vec(f.normal), "offset": _fr(f.offset),
@@ -157,7 +157,7 @@ def cmd_validate(args) -> int:
         f"polytope: dim {p.dim}, affine dim {p.affine_dim}, "
         f"{len(p.vertices)} vertices, {len(p.facets)} facets",
         f"round trip: {'pass' if round_trip else 'FAIL'}",
-        f"vector area identity: {area_note}",
+        f"hull certificate: {cert_note}",
         "centrally symmetric: "
         + (f"yes, centre ({', '.join(_vec(centre))})" if centre else "no"),
         *notes,

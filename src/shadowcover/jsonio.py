@@ -189,6 +189,9 @@ def read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise FormatError(f"JSON in {path} is nested too deeply") from None
 
 
 def write_json(path: str | Path, doc: Any) -> None:

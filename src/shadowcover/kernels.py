@@ -180,54 +180,6 @@ def circuits(vectors, min_size, max_size):
     return []
 
 
-def _det(m):
-    """Determinant of a small square integer matrix (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swapped = False
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    swapped = True
-                    break
-            if not swapped:
-                return 0
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row = m[i]
-            prow = m[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pkk - mik * prow[j]) // prev
-            row[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
-
-
-def cross_rows(rows, dim):
-    """Generalised cross product of dim-1 integer row vectors in R^dim.
-
-    The result is orthogonal to every row; it is the zero vector exactly when
-    the rows are dependent.  For dim == 1 (no rows) the result is (1,).
-    """
-    if dim == 1:
-        return (1,)
-    res = []
-    sign = 1
-    for k in range(dim):
-        minor = [[r[c] for c in range(dim) if c != k] for r in rows]
-        res.append(sign * _det(minor))
-        sign = -sign
-    return tuple(res)
-
-
 def affine_prefix(points):
     """Indices of the first affinely independent points, in input order.
 
@@ -310,8 +262,8 @@ def _polygon_facets(points):
         chain.pop()  # the other sweep starts at this point
     out = []
     for (x0, y0), (x1, y1) in zip(chain, chain[1:] + chain[:1]):
-        # the chain runs counter-clockwise, so cross_rows' normal (dy, -dx)
-        # of the edge points out
+        # the chain runs counter-clockwise, so the edge's normal (dy, -dx)
+        # points out
         a, b = y1 - y0, x0 - x1
         g = gcd(a, b)
         a, b = a // g, b // g

@@ -70,14 +70,6 @@ def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def scale(c: Fraction | int, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def neg(u: Sequence[Fraction]) -> Vector:
-    return tuple(-a for a in u)
-
-
 def integerize(u: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers.
 

@@ -11,7 +11,7 @@ from .containment import translate_fit
 from .corpus import named, names, random_polytope
 from .counterexample import build_counterexample, verify_bundle
 from .decomposability import is_decomposable
-from .polytope import Polytope, hull_from_vertices, vector_area_check
+from .polytope import Polytope, hull_certificate_valid, hull_from_vertices
 from .reliability import direction_set, family_valid, is_reliable, parallelotope_check
 
 
@@ -92,9 +92,9 @@ def run_selftest() -> bool:
     _check("decomposable implies reliable on the corpus", mono, results)
 
     infra = all(
-        vector_area_check(p) and hull_from_vertices(p.vertices) == p for p in full
+        hull_certificate_valid(p) and hull_from_vertices(p.vertices) == p for p in full
     )
-    _check("hull round-trip and facet area identity on the corpus", infra, results)
+    _check("hull round-trip and hull certificate on the corpus", infra, results)
 
     cube = named("cube-3")
     big = hull_from_vertices([tuple(2 * x for x in v) for v in cube.vertices])

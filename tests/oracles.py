@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own code paths: ranks and
 nullspaces come from sympy, hulls are checked by reconstructing vertices
 from the half-space side (H-to-V, the reverse of the library's V-to-H),
 facets are found by trying every point subset (its normals come from
-``kernels.cross_rows``, which the library's hull does not use), vertices by
-the rank of the facet normals through each point, LP optima are recomputed
-by enumerating basic solutions, LP pivots are replayed on the full-width
-simplex tableau that the library's compact one replaced, and circuits and
-simplicial families are found by testing every subset in turn rather than by
-the library's depth-first search.  The membership, containment and LP
+``cross_rows``, a generalised cross product of Bareiss determinants that the
+library does not use), vertices by the rank of the facet normals through
+each point, the hull certificate is compared with the ``Fraction`` identity
+that a full-dimensional body's area-weighted facet normals sum to zero
+(``facet_area_vectors``, which triangulates every facet), LP optima are
+recomputed by enumerating basic solutions, LP pivots are replayed on the
+full-width simplex tableau that the library's compact one replaced, and
+circuits and simplicial families are found by testing every subset in turn
+rather than by the library's depth-first search.  The membership, containment and LP
 feasibility checks that the library runs in integers are kept here in their
 direct ``Fraction`` form, substituting into the rational facets and
 constraints.
@@ -26,12 +29,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import sympy
 
 from shadowcover.containment import ContainmentVerdict, translate_fit
-from shadowcover.kernels import cross_rows
 from shadowcover.linalg import to_ints, vector
 from shadowcover.lp import Infeasible, LPOutcome, LPProblem, Optimal, Unbounded
 from shadowcover.polytope import hull_from_vertices
@@ -164,6 +166,103 @@ def circuit_components(vectors) -> list[tuple[int, ...]]:
     for j in range(len(vectors)):
         groups.setdefault(find(j), []).append(j)
     return sorted(tuple(g) for g in groups.values())
+
+
+def _det(m):
+    """Determinant of a small square integer matrix (Bareiss)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swapped = False
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    swapped = True
+                    break
+            if not swapped:
+                return 0
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row = m[i]
+            prow = m[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pkk - mik * prow[j]) // prev
+            row[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]
+
+
+def cross_rows(rows, dim):
+    """Generalised cross product of dim-1 integer row vectors in R^dim.
+
+    The result is orthogonal to every row; it is the zero vector exactly when
+    the rows are dependent.  For dim == 1 (no rows) the result is (1,).
+    """
+    if dim == 1:
+        return (1,)
+    res = []
+    sign = 1
+    for k in range(dim):
+        minor = [[r[c] for c in range(dim) if c != k] for r in rows]
+        res.append(sign * _det(minor))
+        sign = -sign
+    return tuple(res)
+
+
+def _triangulate(p) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Simplices with affine_dim+1 vertices covering P (recursive coning)."""
+    if p.affine_dim == 0:
+        return [(p.vertices[0],)]
+    if p.affine_dim == 1:
+        return [(p.vertices[0], p.vertices[-1])]
+    apex = p.vertices[0]
+    simplices = []
+    for f in p.facets:
+        if 0 in f.incident:
+            continue
+        sub_poly = hull_from_vertices([p.vertices[i] for i in f.incident])
+        for s in _triangulate(sub_poly):
+            simplices.append((apex,) + s)
+    return simplices
+
+
+def facet_area_vectors(p) -> list[tuple[Fraction, ...]]:
+    """The exact area-weighted outward normal of every facet.
+
+    Each vector points along the facet's outward normal with length equal to
+    the facet's (n-1)-volume; the entries are rational even though neither
+    the unit normal nor the volume alone need be.  They sum to zero for every
+    polytope, the identity that ``hull_certificate_valid`` replaced in the
+    library as its hull check.
+    """
+    if not p.is_full_dimensional:
+        raise ValueError("area vectors need a full-dimensional polytope")
+    n = p.dim
+    out = []
+    for f in p.facets:
+        if n == 1:
+            # a 0-dimensional facet has unit 0-volume
+            out.append(f.normal)
+            continue
+        face = hull_from_vertices([p.vertices[i] for i in f.incident])
+        total = [Fraction(0)] * n
+        for s in _triangulate(face):
+            rows = [[a - b for a, b in zip(v, s[0])] for v in s[1:]]
+            # cross(D r_1, ..., D r_{n-1}) = D^(n-1) cross(r_1, ..., r_{n-1})
+            ints, den = to_ints(rows)
+            c = cross_rows(ints, n)
+            if _fdot(c, f.normal) < 0:
+                c = [-x for x in c]
+            total = [t + Fraction(x, den ** (n - 1)) for t, x in zip(total, c)]
+        out.append(tuple(t / factorial(n - 1) for t in total))
+    return out
 
 
 def scan_facets(points) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:

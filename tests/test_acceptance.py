@@ -35,12 +35,12 @@ from shadowcover.polytope import (
     Subspace,
     apply_linear,
     direct_sum_assemble,
+    hull_certificate_valid,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
     scale_polytope,
     subspace,
-    vector_area_check,
 )
 from shadowcover.reliability import (
     facet_direction_set,
@@ -390,13 +390,13 @@ def test_criterion_9_embedding_invariance():
 def test_criterion_10_infrastructure_invariants(corpus):
     t0 = time.perf_counter()
     rng = random.Random("criterion10")
-    hulls = areas = supports = lps = 0
+    hulls = certs = supports = lps = 0
     for p in corpus:
         assert hull_from_vertices(p.vertices) == p
         hulls += 1
         if p.is_full_dimensional:
-            assert vector_area_check(p)
-            areas += 1
+            assert hull_certificate_valid(p)
+            certs += 1
     for _ in range(60):
         n = rng.choice((2, 3))
         a = random_polytope(rng.randint(0, 10**6), n, n + 3, 3)
@@ -434,6 +434,6 @@ def test_criterion_10_infrastructure_invariants(corpus):
         assert isinstance(out, (Optimal, Infeasible))
         lps += 1
     dt = time.perf_counter() - t0
-    print(f"\nCRITERION 10 PASS: {hulls} hull round-trips, {areas} area "
-          f"identities, {supports} support sums, {lps} verified LP outcomes "
+    print(f"\nCRITERION 10 PASS: {hulls} hull round-trips, {certs} hull "
+          f"certificates, {supports} support sums, {lps} verified LP outcomes "
           f"({dt:.1f}s)")

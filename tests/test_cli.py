@@ -81,6 +81,20 @@ def test_validate_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path, cube_file):
+    """JSON nested past the decoder's recursion limit is an input error, with
+    one line on stderr, for a whole document and for a polytope's vertices."""
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "deep-vertices.json").write_text(f'{{"dim": 3, "vertices": {deep}}}')
+    for argv in (["validate", "deep.json"],
+                 ["contain", "deep-vertices.json", cube_file]):
+        code, out, err = run(capsys, argv[0], str(tmp_path / argv[1]), *argv[2:])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("input error: ")
+        assert "nested too deeply" in err
+
+
 def test_reliability_exit_codes(capsys, pyramid_file):
     code, out, _ = run(capsys, "reliability", pyramid_file, "--d", "2")
     assert code == 0 and "RELIABLE" in out
@@ -354,7 +368,9 @@ def test_shadow_cover_bound_zero_exits_without_hanging(cube_file, big_cube_file)
 def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
     """stdout and exit codes of every report command with --format json, on
     corpus bodies and a flat hexagon in R^3, pinned by a digest recorded
-    while polytopes still stored their Fraction vertices and facets."""
+    while polytopes still stored their Fraction vertices and facets, then
+    re-pinned when validate's "vector_area_check" field became
+    "hull_certificate" (with the old key the digest is 88b4dc4ecdeb...)."""
     import hashlib
 
     from oracles import embed, translate
@@ -405,7 +421,7 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
         "0", "0", "0", "0", "0", "1", "1", "1", "0", "1", "0", "1", "0", "1", "0",
     ]
     assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-        "88b4dc4ecdeb75347d8c031736842051599affb38a56c2f43e5546339e9cea9b"
+        "b0f28cfa057613de8e85a511709be51bed2499351002a61a862b6ef2178d54a7"
     )
 
 

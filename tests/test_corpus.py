@@ -6,9 +6,9 @@ from oracles import random_symmetric_polytope
 from shadowcover.corpus import named, names, random_polytope
 from shadowcover.linalg import vector
 from shadowcover.polytope import (
+    hull_certificate_valid,
     hull_from_vertices,
     is_centrally_symmetric,
-    vector_area_check,
 )
 from shadowcover.reliability import DirectionSet
 
@@ -112,7 +112,7 @@ def test_generated_bodies_pass_infrastructure():
     bodies += [random_symmetric_polytope(s, 3, 5, 3) for s in range(3)]
     for p in bodies:
         assert p.is_full_dimensional
-        assert vector_area_check(p)
+        assert hull_certificate_valid(p)
         assert hull_from_vertices(p.vertices) == p
 
 

@@ -1,12 +1,15 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     embed,
+    facet_area_vectors,
     hrep_vertices,
     matvec,
     random_symmetric_polytope,
@@ -24,13 +27,12 @@ from shadowcover.polytope import (
     Subspace,
     apply_linear,
     direct_sum,
-    facet_area_vectors,
+    hull_certificate_valid,
     hull_from_vertices,
     is_centrally_symmetric,
     project,
     scale_polytope,
     subspace,
-    vector_area_check,
 )
 
 F = Fraction
@@ -208,8 +210,14 @@ def test_direct_sum_rejects_dependent_subspaces():
         direct_sum(seg, seg, xi, eta)
 
 
+def _area_identity(p):
+    """Whether the oracle's area-weighted facet normals sum to zero."""
+    return not any(map(sum, zip(*facet_area_vectors(p))))
+
+
 def test_vector_area_cube(cube3):
-    assert vector_area_check(cube3)
+    assert _area_identity(cube3)
+    assert hull_certificate_valid(cube3)
 
 
 def test_vector_area_pyramid_exact_vectors(pyramid):
@@ -221,13 +229,101 @@ def test_vector_area_pyramid_exact_vectors(pyramid):
         (F(0), F(1), F(1)),
         (F(0), F(-1), F(1)),
     }
-    assert vector_area_check(pyramid)
+    assert _area_identity(pyramid)
+    assert hull_certificate_valid(pyramid)
 
 
-def test_vector_area_rejects_lower_dimensional():
+def test_hull_certificate_rejects_lower_dimensional():
     seg = hull_from_vertices([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        vector_area_check(seg)
+        hull_certificate_valid(seg)
+
+
+@st.composite
+def certificate_clouds(draw):
+    """Integer clouds in R^1-R^6: wide ones, whose facets are simplices, and
+    points of a +-1 or +-2 box, whose facets often hold more than n."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from((1, 2, 9)))
+    size = draw(st.integers(n + 1, n + (7 if n <= 4 else 3)))
+    return draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * n),
+                         min_size=size, max_size=size))
+
+
+@given(certificate_clouds())
+@example(list(product(range(4), repeat=3)))
+@example(list(product(range(3), repeat=4)))
+@example(list(product(range(2), repeat=5)))
+@example([(x, y, 0) for x in range(3) for y in range(3)] + [(1, 1, 2), (1, 1, -1)])
+@settings(max_examples=100, deadline=None)
+def test_hull_certificate_matches_area_identity(pts):
+    """The certificate accepts every hull whose oracle area vectors sum to
+    zero, non-simplicial facets and grids included."""
+    p = hull_from_vertices(pts)
+    assume(p.is_full_dimensional)
+    assert _area_identity(p)
+    assert hull_certificate_valid(p)
+
+
+def _mutants(p):
+    """Broken facet lists of P, each as ((a, bn, bd), incidence) rows: no
+    facets, each facet dropped, an offset moved either way (also off the
+    body with no incidence left), one incidence added or removed, a facet
+    listed twice (also as the only facet, whose ridges then all count two),
+    and an extra valid inequality tight on the meet of two facets, whose
+    vertices span no hyperplane."""
+    rows = list(zip(p.int_facets, p.incidences))
+    count = len(p.int_vertices[0])
+    yield []
+    for k, ((a, bn, bd), inc) in enumerate(rows):
+        rest = rows[:k] + rows[k + 1:]
+        yield rest
+        yield rest + [((a, bn + 1, bd), inc)]
+        yield rest + [((a, bn + 1, bd), ())]
+        yield rest + [((a, bn - 1, bd), inc)]
+        extra = next(i for i in range(count) if i not in inc)
+        yield rest + [((a, bn, bd), tuple(sorted(inc + (extra,))))]
+        yield from (rest + [((a, bn, bd), inc[:j] + inc[j + 1:])]
+                    for j in range(len(inc)))
+        yield rows + [rows[k]]
+        yield [rows[k], rows[k]]
+        for (b, cn, cd), other in rows[k + 1:]:
+            meet = tuple(sorted(set(inc) & set(other)))
+            if meet:
+                off = F(bn, bd) + F(cn, cd)
+                normal = tuple(x + y for x, y in zip(a, b))
+                yield rows + [((normal, off.numerator, off.denominator), meet)]
+
+
+def test_hull_certificate_rejects_mutants(cube3, pyramid):
+    rng = random.Random("certificate-mutants")
+    bodies = [hull_from_vertices([(0,), (F(5, 3),)]), cube3, pyramid]
+    bodies += [random_polytope(s, n, n + 4, 6) for s in range(2) for n in (2, 3, 4, 5)]
+    for n in (3, 4):
+        # box clouds, whose facets are not all simplices
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(4 * n)]
+        bodies.append(hull_from_vertices(pts))
+    assert all(max(map(len, p.incidences)) > p.dim for p in bodies[-2:])
+    rejected = 0
+    for p in bodies:
+        assert p.is_full_dimensional and hull_certificate_valid(p)
+        for rows in _mutants(p):
+            bad = replace(p, int_facets=tuple(f for f, _ in rows),
+                          incidences=tuple(inc for _, inc in rows))
+            assert not hull_certificate_valid(bad), rows
+            rejected += 1
+    assert rejected > 1000
+
+
+def test_hull_certificate_is_sharper_than_area_identity(cube3):
+    """Without two opposite facets a cube's area vectors still sum to zero;
+    the certificate finds the four ridges on one listed facet each."""
+    keep = [k for k, (a, _, _) in enumerate(cube3.int_facets) if a[0] == 0]
+    holed = replace(cube3, int_facets=tuple(cube3.int_facets[k] for k in keep),
+                    incidences=tuple(cube3.incidences[k] for k in keep))
+    assert len(holed.int_facets) == 4
+    assert _area_identity(holed)
+    assert not hull_certificate_valid(holed)
 
 
 def test_symmetry_detection(pyramid):
@@ -237,6 +333,29 @@ def test_symmetry_detection(pyramid):
     assert is_centrally_symmetric(cube) == vector((0, 0, 0))
     assert is_centrally_symmetric(pyramid) is None
     assert is_centrally_symmetric(hull_from_vertices([(3, 4)])) == vector((3, 4))
+
+
+def test_symmetry_matches_fraction_reflection():
+    """The integer test agrees with reflecting the Fraction vertices through
+    their centroid, on symmetric and asymmetric, full and flat bodies with
+    rational vertices."""
+    rng = random.Random("symmetry-reflection")
+    found = 0
+    for k in range(60):
+        n = rng.randint(2, 4)
+        if k % 2:
+            p = _seeded_body(rng, n)
+        else:
+            p = random_symmetric_polytope(rng.randint(0, 10**6), n - k % 4 // 2, n, 3)
+            p = translate(embed(p, n), [F(rng.randint(-4, 4), rng.randint(1, 3))
+                                        for _ in range(n)])
+        c = p.centroid()
+        vset = set(p.vertices)
+        symmetric = all(tuple(2 * x - y for x, y in zip(c, v)) in vset
+                        for v in p.vertices)
+        assert is_centrally_symmetric(p) == (c if symmetric else None)
+        found += symmetric
+    assert 30 <= found < 60
 
 
 def test_embed_square_into_space():
@@ -315,7 +434,8 @@ def test_vertices_on_enough_facets(random_body):
 
 def test_area_identity_random(random_body):
     if random_body.is_full_dimensional:
-        assert vector_area_check(random_body)
+        assert _area_identity(random_body)
+        assert hull_certificate_valid(random_body)
 
 
 def test_support_additivity(random_body):
