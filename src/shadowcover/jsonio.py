@@ -33,26 +33,35 @@ class FormatError(ValueError):
     """Malformed interchange document."""
 
 
+def _shown(value: Any) -> str:
+    """The repr of an offending value, cut to 80 characters, so that an error
+    echoes a bounded part of the input on its one line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def parse_rational(value: Any) -> Fraction:
     if isinstance(value, bool):
-        raise FormatError(f"not a rational: {value!r}")
+        raise FormatError(f"not a rational: {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.match(value):
         return Fraction(value)
-    raise FormatError(f"not a rational: {value!r}")
+    raise FormatError(f"not a rational: {_shown(value)}")
 
 
 def _parse_integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"not an integer: {value!r}")
+        raise FormatError(f"not an integer: {_shown(value)}")
     return value
 
 
 def _parse_at_least(value: Any, low: int, name: str) -> int:
     value = _parse_integer(value)
     if value < low:
-        raise FormatError(f"bundle '{name}' must be at least {low}, got {value}")
+        raise FormatError(
+            f"bundle '{name}' must be at least {low}, got {_shown(value)}"
+        )
     return value
 
 
@@ -65,7 +74,7 @@ def _parse_dim(doc: dict, kind: str) -> int:
 
 def _parse_pair(entry: Any) -> tuple[int, Fraction]:
     if not isinstance(entry, list) or len(entry) != 2:
-        raise FormatError(f"expected an [index, multiplier] pair, got {entry!r}")
+        raise FormatError(f"expected an [index, multiplier] pair, got {_shown(entry)}")
     return _parse_integer(entry[0]), parse_rational(entry[1])
 
 
@@ -77,7 +86,7 @@ def format_rational(q: Fraction) -> str:
 
 def _parse_point(entry: Any, dim: int) -> Vector:
     if not isinstance(entry, list) or len(entry) != dim:
-        raise FormatError(f"expected a list of {dim} rationals, got {entry!r}")
+        raise FormatError(f"expected a list of {dim} rationals, got {_shown(entry)}")
     return vector([parse_rational(x) for x in entry])
 
 

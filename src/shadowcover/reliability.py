@@ -178,36 +178,24 @@ def is_reliable(body: Polytope | DirectionSet, d: int) -> ReliabilityVerdict:
 
     Reliable exactly when no simplicial family of size >= d+2 exists among
     the facet normals (for a polytope, the normals are taken inside the
-    affine hull).  When unreliable, the certificate is the smallest family,
-    ties broken lexicographically on member indices.  The search runs only
-    inside the normal components of rank >= d+1, each on its own directions
-    in index order; the certificate is the least (size, members) over them.
+    affine hull).  Any such family certifies an unreliable verdict, so the
+    certificate is the first one the search meets: the search runs only
+    inside the normal components of rank >= d+1, taken by first member, each
+    on its own directions in index order, and stops at the first hit.
     """
     a = body if isinstance(body, DirectionSet) else facet_direction_set(body)
-    n = a.dim
-    if not 1 <= d <= n - 1:
+    if not 1 <= d <= a.dim - 1:
         raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
     dirs = a.integer_directions()
-    best = None
     for members, basis in _components(dirs):
         if len(basis) <= d:
             continue
-        rows = [dirs[j] for j in members]
-        # one existence scan up to the best size so far; only a hit needs the
-        # follow-up per-size scans to pin down the smallest family
-        cap = min(len(basis) + 1, len(best[0]) if best else n + 1)
-        hit = circuits(rows, d + 2, cap)
-        for size in range(d + 2, len(hit[0][0]) if hit else 0):
-            smaller = circuits(rows, size, size)
-            if smaller:
-                hit = smaller
-                break
+        hit = circuits([dirs[j] for j in members], d + 2, len(basis) + 1)
         if hit:
-            fam = (tuple(members[i] for i in hit[0][0]), hit[0][1])
-            best = min(best or fam, fam, key=lambda f: (len(f[0]), f[0]))
-    if best is None:
+            break
+    else:
         return ReliabilityVerdict(True, d, None, a)
-    family = _family(a, *best)
+    family = _family(a, tuple(members[i] for i in hit[0][0]), hit[0][1])
     # an explicit raise rather than ``assert``, so it still runs under -O
     if not family_valid(a, family):
         raise AssertionError("simplicial family failed exact re-verification")

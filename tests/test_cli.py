@@ -95,6 +95,19 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, cube_file):
         assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("vertex", ['[1, 0, 0, "' + "9" * 100_000 + '"]',
+                                    "[" * 900 + "]" * 900])
+def test_malformed_vertex_echo_is_bounded(capsys, tmp_path, vertex):
+    """The offending value is echoed cut short, so one bad vertex gives one
+    short stderr line however large or deep it is."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dim": 3, "vertices": [{vertex}]}}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("input error: expected a list")
+    assert len(err.encode()) < 200
+
+
 def test_reliability_exit_codes(capsys, pyramid_file):
     code, out, _ = run(capsys, "reliability", pyramid_file, "--d", "2")
     assert code == 0 and "RELIABLE" in out
@@ -285,7 +298,7 @@ def test_counterexample_margin_insufficient_exits_1(capsys, tmp_path):
     write_json(path, polytope_to_doc(named("cross-polytope-4")))
     _no_counterexample(
         capsys,
-        ["counterexample", str(path), "--d", "1", "--seed", "2",
+        ["counterexample", str(path), "--d", "1", "--seed", "6",
          "--trials", "5", "--verify-trials", "40"],
         "safety margin insufficient: a fresh shadow sample failed; "
         "retry with a smaller margin or more search trials",

@@ -439,7 +439,12 @@ def test_shadow_reports_pinned_by_digest():
     shadows were projected and hulled in Fraction arithmetic by the
     brute-force scan, then re-pinned when ``ContainmentVerdict`` lost its
     ``component`` field: the same text with ", component=None" after each
-    ``hull_mismatch`` field hashes to the first pin, 16b2ca94bc45."""
+    ``hull_mismatch`` field hashes to the first pin, 16b2ca94bc45.  Re-pinned
+    again when ``is_reliable`` began to return the first family it meets
+    rather than the least one: only cross-polytope-4 at d = 2 moves (S from
+    members (0, 3, 5, 9, 14), not (0, 3, 13, 14)), and with the least family
+    from ``oracles.simplicial_families`` substituted the text hashes to the
+    previous pin, 1fa3bcc63fd7."""
     from shadowcover.counterexample import _alpha_scan, _scale_from
 
     reports = []
@@ -453,7 +458,7 @@ def test_shadow_reports_pinned_by_digest():
     ]
     text = "\n".join(repr(r) for r in reports + alphas)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1fa3bcc63fd73b34fee245814c697fa87d1e7bf676748c61e3c602e256cf1642"
+        "936fec00aea98255debe6ac702f4d8d2256bd2ba9e5d31374663e439691a32c9"
     )
 
 

@@ -53,31 +53,38 @@ def test_independent_set_rejected():
     assert not family_valid(a, SimplicialFamily((0, 1, 2), (F(1), F(1), F(1))))
 
 
-def _smallest_family(a, d):
-    """The certificate is_reliable promises, from the subset oracle: the
-    smallest family of size >= d+2, ties broken on member indices."""
-    fams = simplicial_families(a.directions, d + 2)
-    return min(fams, key=lambda f: (len(f[0]), f[0]), default=None)
-
-
-def _certificate_matches_oracle(a, d):
+def _agrees_with_oracle(a, d):
+    """is_reliable(a, d) against the subset oracle: reliable exactly when
+    the oracle finds no family of size >= d+2; otherwise the certificate is
+    an oracle family (members and coefficients) of size >= d+2, from the
+    first normal component, by first member, that holds one."""
     verdict = is_reliable(a, d)
-    expected = _smallest_family(a, d)
-    if expected is None:
-        return verdict.reliable and verdict.certificate is None
+    if verdict.reliable:
+        assert verdict.certificate is None, d
+        assert simplicial_families(a.directions, d + 2) == [], d
+        return
     fam = verdict.certificate
-    return (
-        not verdict.reliable
-        and fam.members == expected[0]
-        and primitive(fam.coefficients) == expected[1]
-        and family_valid(a, fam)
-    )
+    k = fam.size
+    assert k >= d + 2 and family_valid(a, fam), d
+    on_members = simplicial_families([a.directions[i] for i in fam.members], k)
+    assert on_members == [(tuple(range(k)), primitive(fam.coefficients))], d
+    for members, _ in reliability._components(a.integer_directions()):
+        if fam.members[0] in members:
+            assert set(fam.members) <= set(members), d
+            break
+        on_component = [a.directions[i] for i in members]
+        assert simplicial_families(on_component, d + 2) == [], d
+
+
+def _agrees_with_oracle_at_every_d(a):
+    for d in range(1, a.dim):
+        _agrees_with_oracle(a, d)
 
 
 def test_enumerate_cube_normals_empty(cube3):
     a = facet_direction_set(cube3)
     assert simplicial_families(a.directions, 3) == []
-    assert _certificate_matches_oracle(a, 1)
+    _agrees_with_oracle(a, 1)
 
 
 def test_enumerate_pyramid_families(pyramid):
@@ -87,8 +94,7 @@ def test_enumerate_pyramid_families(pyramid):
     for members, coeffs in fams:
         assert family_valid(a, SimplicialFamily(members, coeffs))
     assert simplicial_families(a.directions, 4) == []
-    assert _certificate_matches_oracle(a, 1)
-    assert _certificate_matches_oracle(a, 2)
+    _agrees_with_oracle_at_every_d(a)
 
 
 def test_enumerate_q_directions(q_directions):
@@ -105,8 +111,7 @@ def test_enumerate_q_directions(q_directions):
         for members, _ in fams4
     ]
     assert wanted in found
-    for d in (1, 2, 3):
-        assert _certificate_matches_oracle(q_directions, d)
+    _agrees_with_oracle_at_every_d(q_directions)
 
 
 def test_pyramid_reliability(pyramid):
@@ -163,8 +168,8 @@ def test_certificate_valid_on_unreduced_directions():
     assert family_valid(a, v.certificate)
     b = direction_set(2, [("1/2", 0), (0, "3/4"), (-1, -1)])
     assert family_valid(b, is_reliable(b, 1).certificate)
-    assert _certificate_matches_oracle(b, 1)
-    assert _certificate_matches_oracle(a, 1)
+    _agrees_with_oracle(b, 1)
+    _agrees_with_oracle(a, 1)
     assert a.integer_directions() == (
         (1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)
     )
@@ -267,23 +272,6 @@ def _block_directions(rng, n, span):
     return direction_set(n, rows)
 
 
-def _agrees_with_oracle_at_every_d(a):
-    """is_reliable's verdict and certificate (members and coefficients) at
-    every valid d are the subset oracle's smallest, first family."""
-    fams = simplicial_families(a.directions, 3)
-    for d in range(1, a.dim):
-        expected = min((f for f in fams if len(f[0]) >= d + 2),
-                       key=lambda f: (len(f[0]), f[0]), default=None)
-        verdict = is_reliable(a, d)
-        if expected is None:
-            assert verdict.reliable and verdict.certificate is None, d
-            continue
-        fam = verdict.certificate
-        assert not verdict.reliable, d
-        assert (fam.members, primitive(fam.coefficients)) == expected, d
-        assert family_valid(a, fam)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_component_search_matches_oracle_on_block_sets(n):
     rng = random.Random(f"blocks-{n}")
@@ -313,22 +301,23 @@ def test_component_search_matches_oracle_on_antipodal_pairs():
     _agrees_with_oracle_at_every_d(b)
 
 
-def test_certificate_is_least_over_components():
-    # a simplex's normals in R^3 (one family, of size 4) come first, but the
-    # triangle's normals in the last two coordinates hold a smaller family
+def test_certificate_comes_from_first_component_holding_one():
+    # a simplex's normals in R^3 (one family, of size 4) come first, so they
+    # certify d = 1 as well, although the triangle's normals in the last two
+    # coordinates hold a smaller family
     a = direction_set(5, [(-1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, -1, 0, 0, 0),
                           (0, 0, 0, 0, 1), (0, 0, -1, 0, 0), (0, 0, 0, -1, -1),
                           (1, 1, 1, 0, 0)])
-    assert is_reliable(a, 1).certificate.members == (1, 3, 5)
+    assert is_reliable(a, 1).certificate.members == (0, 2, 4, 6)
     assert is_reliable(a, 2).certificate.members == (0, 2, 4, 6)
     _agrees_with_oracle_at_every_d(a)
-    # the first component {0, 4, 5, 6, 7} holds 0 in no positive circuit, so
-    # the later triangle {1, 2, 3} has the lexicographically first family
+    # the first component {0, 4, 5, 6, 7} holds 0 in no positive circuit, but
+    # it holds a family, which comes before the later triangle {1, 2, 3}
     b = direction_set(5, [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
                           (0, 0, 0, -1, -1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                           (0, -1, -1, 0, 0), (1, 1, 0, 0, 0)])
     assert reliability._components(b.integer_directions())[0][0] == (0, 4, 5, 6, 7)
-    assert is_reliable(b, 1).certificate.members == (1, 2, 3)
+    assert is_reliable(b, 1).certificate.members == (4, 5, 6)
     _agrees_with_oracle_at_every_d(b)
 
 
@@ -346,6 +335,14 @@ def test_component_search_matches_oracle_on_corpus(name):
     body = named(name)
     a = facet_direction_set(body) if isinstance(body, Polytope) else body
     _agrees_with_oracle_at_every_d(a)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_component_search_matches_oracle_on_random_bodies(n):
+    for seed in range(10):
+        _agrees_with_oracle_at_every_d(
+            facet_direction_set(random_polytope(seed, n, n + 4, 3))
+        )
 
 
 def _polygon_sum(order):
@@ -375,12 +372,34 @@ def test_search_runs_only_on_components_of_high_rank(monkeypatch):
     # every component has rank 2, so none can hold a family of size 4
     assert is_reliable(a, 2).reliable
     assert calls == []
-    v = is_reliable(a, 1)
-    assert not v.reliable and family_valid(a, v.certificate)
-    assert v.certificate.members == _smallest_family(a, 1)[0]
-    assert calls
+    assert not is_reliable(a, 1).reliable
+    assert 1 <= len(calls) <= len(blocks)
     dirs = a.integer_directions()
     for rows in calls:
         # one block's rows, in increasing index order
         block = next(b for b in blocks if rows[0] in b)
         assert rows == [u for u in dirs if u in block]
+    _agrees_with_oracle(a, 1)
+
+
+@pytest.mark.parametrize("args", [(2, 5, 12, 3), (3, 5, 18, 4)])
+def test_hull_scale_search_makes_one_call_per_component(monkeypatch, args):
+    """The facet normals of hulls with 63 and 126 facets in R^5: every d is
+    decided by at most one search per component of rank >= d+1, and the
+    first family it meets is the certificate."""
+    calls = []
+    real = reliability.circuits
+
+    def counting(vectors, min_size, max_size):
+        calls.append(min_size)
+        return real(vectors, min_size, max_size)
+
+    monkeypatch.setattr(reliability, "circuits", counting)
+    a = facet_direction_set(random_polytope(*args))
+    ranks = [len(basis) for _, basis in reliability._components(a.integer_directions())]
+    for d in range(1, a.dim):
+        calls.clear()
+        v = is_reliable(a, d)
+        assert not v.reliable and v.certificate.size >= d + 2, d
+        assert family_valid(a, v.certificate), d
+        assert len(calls) <= sum(r > d for r in ranks), d
