@@ -25,11 +25,7 @@ from .containment import (
     sampled_shadow_cover,
     translate_fit,
 )
-from .counterexample import (
-    NoUsableScaleError,
-    ReliableCoverError,
-    build_counterexample,
-)
+from .counterexample import ReliableCoverError, build_counterexample
 from .decomposability import extract_factors, is_decomposable
 from .jsonio import (
     FormatError,
@@ -78,8 +74,7 @@ def _emit(args, command: str, keys: list[str], result: dict, lines) -> None:
         "tool": "shadowcover",
         "version": __version__,
         "command": command,
-        "config": {k: _fr(v) if isinstance(v, Fraction) else v
-                   for k, v in config.items()},
+        "config": config,
         "result": result,
     }))
 
@@ -174,12 +169,6 @@ def cmd_reliability(args) -> int:
     if not 1 <= args.d <= a.dim - 1:
         raise ValueError("reliability needs 1 <= d <= ambient dimension - 1")
     space = family_search_space(a, args.d)
-    if space > 10**7:
-        print(
-            f"warning: family search ranges over {space} subsets; "
-            "this may take a while",
-            file=sys.stderr,
-        )
     verdict = is_reliable(body, args.d)
     result = {
         "d": args.d,
@@ -315,17 +304,9 @@ def cmd_shadow_cover(args) -> int:
 def cmd_counterexample(args) -> int:
     l = polytope_from_doc(read_json(args.file_l))
     try:
-        bundle = build_counterexample(
-            l,
-            args.d,
-            seed=args.seed,
-            trials=args.trials,
-            margin=args.margin,
-            entry_bound=args.bound,
-            verify_trials=args.verify_trials,
-        )
-    except (ReliableCoverError, NoUsableScaleError, RuntimeError) as exc:
-        # run outcomes, not usage errors: exit 1 like any negative verdict
+        bundle = build_counterexample(l, args.d)
+    except ReliableCoverError as exc:
+        # a run outcome, not a usage error: exit 1 like any negative verdict
         print(f"no counterexample: {exc}", file=sys.stderr)
         return 1
     doc = bundle_to_doc(bundle)
@@ -335,17 +316,16 @@ def cmd_counterexample(args) -> int:
     lines = [
         f"counterexample body with {len(bundle.body.vertices)} vertices built "
         f"from a simplicial family of size {bundle.family.size}",
-        f"alpha = {_fr(bundle.alpha)} (~{float(bundle.alpha):.6g}), "
-        f"observed shadow slack alpha_min = {_fr(bundle.alpha_min_observed)}",
-        "exact half: alpha*S never fits (Farkas certificate on family facets)",
-        f"sampled half: {bundle.shadow_trials} fresh shadow trials, "
-        f"{bundle.shadow_failures} failures (statistical evidence)",
+        f"alpha = {_fr(bundle.alpha)} (~{float(bundle.alpha):.6g}), the largest "
+        f"fitting scale of the simplex on vertices {list(bundle.minimiser)} of S",
+        "non-fit: alpha*S never fits (Farkas certificate on family facets)",
+        f"hides behind: all {len(bundle.cover_certificate)} simplices on "
+        f"{bundle.d + 1} vertices of alpha*S fit (cover certificate), so every "
+        f"{bundle.d}-shadow does",
     ]
     if args.out:
         lines.append(f"bundle written to {args.out}")
-    keys = ["file_l", "d", "seed", "trials", "margin", "bound", "verify_trials",
-            "out", "format"]
-    _emit(args, "counterexample", keys, result, lines)
+    _emit(args, "counterexample", ["file_l", "d", "out", "format"], result, lines)
     return 0
 
 
@@ -373,14 +353,6 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
-    return q
-
-
 def _positive_int_arg(text: str) -> int:
     try:
         n = int(text)
@@ -389,13 +361,6 @@ def _positive_int_arg(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
     return n
-
-
-def _margin_arg(text: str) -> Fraction:
-    q = _fraction_arg(text)
-    if not 0 < q < 1:
-        raise argparse.ArgumentTypeError("margin must be strictly between 0 and 1")
-    return q
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file_l")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=_positive_int_arg, default=1000)
-    p.add_argument(
-        "--verify-trials", type=_positive_int_arg, default=2000, dest="verify_trials"
-    )
-    p.add_argument("--margin", type=_margin_arg, default=Fraction(1, 2))
-    p.add_argument("--bound", type=_positive_int_arg, default=10)
     p.add_argument("--out", help="file for the bundle JSON")
     common(p)
     p.set_defaults(func=cmd_counterexample)

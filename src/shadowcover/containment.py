@@ -7,10 +7,10 @@ translation that re-verifies facet by facet, or positive Farkas multipliers
 over L's facets combining to an unsatisfiable inequality.
 
 Shadow (projection) containment reduces to the same test inside subspace
-coordinates.  Covering of *all* d-shadows is not decidable by finitely many
-LPs, so `sampled_shadow_cover` reports statistical evidence over seeded
-random subspaces and is labelled as such; everything else in this module is
-exact.
+coordinates.  Covering of *all* d-shadows reduces to the simplices on d+1
+vertices of K (see `counterexample`), but `sampled_shadow_cover` still
+samples: it reports statistical evidence over seeded random subspaces and
+is labelled as such; everything else in this module is exact.
 """
 
 from __future__ import annotations

@@ -10,37 +10,35 @@ of S and L then agree along every family normal, which has two consequences:
   contradiction, so this half is a proof, certified by Farkas multipliers
   supported on the family facets.
 
-* Every d-dimensional shadow of S sits strictly inside the matching shadow
-  of L except for isolated contacts, leaving room for a uniform alpha > 1.
-  The uniform alpha is estimated by sampling shadow subspaces, shrunk by a
-  safety margin, and re-validated on fresh seeds.  This half is statistical
-  evidence by design and the reports say so.
+* alpha*S hides behind L in every d-dimensional shadow exactly when every
+  simplex T spanned by d+1 vertices of alpha*S has a translate inside L: a
+  shadow that fits no translate has a Farkas certificate of at most d+1
+  directions, and the vertices of S that attain them span such a T.  So the
+  scale is alpha = min over those T of max_scale(T, L), found by one LP per
+  subset, and this half is a proof as well: the bundle keeps one verified
+  translation per subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .containment import (
     ContainmentVerdict,
     FarkasCertificate,
-    ShadowCoverReport,
-    SubspaceSampler,
     certificate_valid,
+    fits_exactly,
     max_scale,
-    sampled_shadow_cover,
     translate_fit,
 )
-from .polytope import Polytope, facet_centroid, hull_from_vertices, project, scale_polytope
+from .linalg import Vector
+from .polytope import Polytope, facet_centroid, hull_from_vertices, scale_polytope
 from .reliability import ReliabilityVerdict, SimplicialFamily, is_reliable
 
 class ReliableCoverError(ValueError):
     """Raised when asked to build a counterexample against a reliable cover."""
-
-
-class NoUsableScaleError(ValueError):
-    """Raised when the sampled shadows leave no room to enlarge the body."""
 
 
 def build_S(l: Polytope, family: SimplicialFamily, d: int) -> Polytope:
@@ -66,46 +64,42 @@ def build_S(l: Polytope, family: SimplicialFamily, d: int) -> Polytope:
     return s
 
 
-def _alpha_scan(
-    l: Polytope, s: Polytope, d: int, sampler: SubspaceSampler, trials: int
-) -> Fraction:
-    """Minimum over sampled d-subspaces of the maximal shadow scaling.
+def _simplex(body: Polytope, subset: tuple[int, ...]) -> Polytope:
+    return hull_from_vertices([body.vertices[i] for i in subset])
 
-    A subspace on which the shadow of S is a single point is skipped: a
-    point fits at every scale, so it bounds nothing.
+
+def _hiding_scale(k: Polytope, l: Polytope, d: int):
+    """The largest alpha for which alpha*K hides behind L in every d-shadow,
+    for K with more than d vertices: the least max_scale(T, L) over the
+    simplices T on d+1 of K's vertices.
+
+    Returns alpha, the first subset that attains it and the cover
+    certificate: for each subset T, in increasing order, a translation w_T
+    with alpha*T + w_T inside L.  With T's largest scale alpha_T and witness
+    v_T, w_T = v_T + (alpha_T - alpha) x0 for T's first vertex x0, since
+    alpha*T + w_T lies inside alpha_T*T + v_T by convexity.
     """
-    stream = sampler.stream(l.dim)
-    alpha_min: Fraction | None = None
-    for _ in range(trials):
-        xi = next(stream)
-        shadow = project(s, xi)
-        if shadow.affine_dim == 0:
-            continue
-        alpha, _ = max_scale(shadow, project(l, xi))
-        if alpha_min is None or alpha < alpha_min:
-            alpha_min = alpha
-    if alpha_min is None:
-        raise NoUsableScaleError("no usable scale: every sampled shadow is a point")
-    return alpha_min
-
-
-def _scale_from(alpha_min: Fraction, margin: Fraction) -> Fraction:
-    """The counterexample scale 1 + margin * (alpha_min - 1), if alpha_min > 1."""
-    if alpha_min <= 1:
-        raise NoUsableScaleError(
-            "no usable scale: a sampled shadow admits no enlargement"
-        )
-    return 1 + margin * (alpha_min - 1)
+    scales = [
+        (t, *max_scale(_simplex(k, t), l))
+        for t in combinations(range(len(k.vertices)), d + 1)
+    ]
+    minimiser, alpha, _ = min(scales, key=lambda entry: entry[1])
+    cover_certificate = tuple(
+        (t, tuple(v + (alpha_t - alpha) * x for v, x in zip(v_t, k.vertices[t[0]])))
+        for t, alpha_t, v_t in scales
+    )
+    return alpha, minimiser, cover_certificate
 
 
 @dataclass(frozen=True)
 class CounterexampleBundle:
     """Everything needed to re-verify a hide-behind counterexample.
 
-    `noncontainment` is the exact half (a Farkas proof that alpha*S never
-    fits in L); `shadow_trials`/`shadow_failures` summarise the statistical
-    half at build time.  Seeds and trial counts make the construction and
-    both verifications reproducible.
+    `noncontainment` proves that alpha*S never fits in L (Farkas multipliers
+    on the family facets).  `cover_certificate` proves that alpha*S hides
+    behind L in every d-shadow: for each (d+1)-subset T of the body's vertex
+    indices, in increasing order, a translation w with alpha*T + w inside L.
+    `minimiser` is the subset whose largest fitting scale is alpha.
     """
 
     cover: Polytope
@@ -113,120 +107,106 @@ class CounterexampleBundle:
     family: SimplicialFamily
     body: Polytope
     alpha: Fraction
-    alpha_min_observed: Fraction
-    margin: Fraction
     noncontainment: FarkasCertificate
-    search_seed: int
-    search_trials: int
-    entry_bound: int
-    verify_seed: int
-    shadow_trials: int
-    shadow_failures: int
+    cover_certificate: tuple[tuple[tuple[int, ...], Vector], ...]
+    minimiser: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class BundleVerification:
-    """Outcome of re-verifying a bundle; the two halves are not alike.
+    """Outcome of re-verifying a bundle; both halves are exact.
 
-    exact_noncontainment is a proof (Farkas certificate re-checked, solver
-    agreement on infeasibility).  shadow_report is sampled evidence with a
-    fresh seed.  `fit_found` reports a verifying translation in case the
-    exact half ever failed, which would disprove the bundle.
+    exact_noncontainment: the Farkas certificate re-checked; solver_agrees:
+    the LP solver independently finds no fit.  `fit_found` reports a
+    verifying translation in case the non-fit half ever failed, which would
+    disprove the bundle.  cover_valid: the cover certificate lists every
+    (d+1)-subset of the body's vertices once, names its minimiser among
+    them, and each translation passes fits_exactly at alpha.
     """
 
     exact_noncontainment: bool
     solver_agrees: bool
     fit_found: ContainmentVerdict | None
-    shadow_report: ShadowCoverReport
+    cover_valid: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.exact_noncontainment
-            and self.solver_agrees
-            and self.shadow_report.all_passed
-        )
+        return self.exact_noncontainment and self.solver_agrees and self.cover_valid
 
 
-def verify_bundle(
-    bundle: CounterexampleBundle, fresh_seed: int, trials: int = 2000
-) -> BundleVerification:
-    """Re-verify both halves of a bundle.
+def _cover_valid(bundle: CounterexampleBundle) -> bool:
+    subsets = [t for t, _ in bundle.cover_certificate]
+    every = combinations(range(len(bundle.body.vertices)), bundle.d + 1)
+    if sorted(subsets) != list(every) or bundle.minimiser not in subsets:
+        return False
+    return all(
+        fits_exactly(scale_polytope(_simplex(bundle.body, t), bundle.alpha),
+                     bundle.cover, w)
+        for t, w in bundle.cover_certificate
+    )
 
-    (a) exact: alpha*S must not fit in L — the stored family certificate is
+
+def verify_bundle(bundle: CounterexampleBundle) -> BundleVerification:
+    """Re-verify both halves of a bundle, exactly.
+
+    (a) alpha*S must not fit in L: the stored family certificate is
     re-checked and the LP solver must independently report infeasibility;
-    (b) statistical: a fresh-seeded shadow-cover run of alpha*S behind L
-    must come back clean.
+    (b) alpha*S must hide behind L in every d-shadow: the cover certificate
+    is re-checked simplex by simplex.
     """
     scaled = scale_polytope(bundle.body, bundle.alpha)
     cert_ok = certificate_valid(scaled, bundle.cover, bundle.noncontainment)
     solver = translate_fit(scaled, bundle.cover)
     fit_found = solver if solver.fits else None
-    sampler = SubspaceSampler(fresh_seed, bundle.d, bundle.entry_bound)
-    report = sampled_shadow_cover(
-        scaled, bundle.cover, bundle.d, sampler, trials
+    return BundleVerification(
+        cert_ok, not solver.fits, fit_found, _cover_valid(bundle)
     )
-    return BundleVerification(cert_ok, not solver.fits, fit_found, report)
 
 
 def build_counterexample(
-    l: Polytope,
-    d: int,
-    seed: int,
-    trials: int = 1000,
-    margin: Fraction = Fraction(1, 2),
-    entry_bound: int = 10,
-    verify_trials: int = 2000,
+    l: Polytope, d: int, seed: int | None = None
 ) -> CounterexampleBundle:
-    """Full pipeline: family search, body construction, scale, verification.
+    """Full pipeline: family search, body construction, exact scale.
 
     Raises ReliableCoverError when L is d-reliable (then no body can hide
-    behind L without fitting inside, so no counterexample exists).  When L
-    is unreliable but this run certifies no scale, it raises
-    NoUsableScaleError (alpha_min <= 1, or every sampled shadow of the body
-    is a point) or RuntimeError (the fresh shadow sample failed).  The
-    bundle holds the family's own multipliers as its Farkas certificate and
-    passes verify_bundle, at the verification seed seed+1 recorded in it,
-    before it is returned; a certificate that fails or a fit the solver
-    finds is a bug and raises AssertionError.
+    behind L without fitting inside, so no counterexample exists).  The
+    scale is the largest at which the body hides behind L in every d-shadow:
+    the least max_scale(T, L) over the simplices T on d+1 of its vertices.
+    The bundle holds the family's own multipliers as its Farkas certificate
+    and passes verify_bundle before it is returned; a check that fails, or
+    alpha <= 1, is a bug and raises AssertionError.
+
+    `seed` is ignored: the construction samples nothing.  It stays because
+    the benchmark's shadows workload still passes a seed positionally; it
+    goes with the benchmark's next revision.
     """
-    if not 0 < margin < 1:
-        raise ValueError("margin must be strictly between 0 and 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     verdict: ReliabilityVerdict = is_reliable(l, d)
     if verdict.reliable:
         raise ReliableCoverError(f"cover is {d}-reliable; no counterexample exists")
     family = verdict.certificate
     s = build_S(l, family, d)
-    sampler = SubspaceSampler(seed, d, entry_bound)
-    alpha_min = _alpha_scan(l, s, d, sampler, trials)
-    alpha = _scale_from(alpha_min, margin)
-    cert = FarkasCertificate(tuple(zip(family.members, family.coefficients)))
+    alpha, minimiser, cover_certificate = _hiding_scale(s, l, d)
+    # each centroid is tight on its own facet only, and any d+1 family
+    # normals are independent, so every simplex can be enlarged
+    if alpha <= 1:
+        raise AssertionError("a simplex of the body admits no enlargement")
     bundle = CounterexampleBundle(
         cover=l,
         d=d,
         family=family,
         body=s,
         alpha=alpha,
-        alpha_min_observed=alpha_min,
-        margin=margin,
-        noncontainment=cert,
-        search_seed=seed,
-        search_trials=trials,
-        entry_bound=entry_bound,
-        verify_seed=seed + 1,
-        shadow_trials=verify_trials,
-        shadow_failures=0,
+        noncontainment=FarkasCertificate(
+            tuple(zip(family.members, family.coefficients))
+        ),
+        cover_certificate=cover_certificate,
+        minimiser=minimiser,
     )
-    check = verify_bundle(bundle, bundle.verify_seed, verify_trials)
+    check = verify_bundle(bundle)
     if not check.exact_noncontainment:
         raise AssertionError("family certificate failed exact re-verification")
     if not check.solver_agrees:
         raise AssertionError("solver found a fit of the scaled body in the cover")
-    if not check.shadow_report.all_passed:
-        raise RuntimeError(
-            "safety margin insufficient: a fresh shadow sample failed; "
-            "retry with a smaller margin or more search trials"
-        )
+    if not check.cover_valid:
+        raise AssertionError("cover certificate failed exact re-verification")
     return bundle

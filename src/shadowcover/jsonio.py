@@ -3,11 +3,12 @@
 Rationals travel as exact strings "p" or "p/q" in lowest terms; the reader
 rejects anything else (floats in particular).  Integer-valued fields such as
 direction coordinates may also be plain JSON integers.  Integer fields (a
-document's 'dim', a bundle's dimension, indices, seeds and counts) must be
-plain JSON integers; floats, strings and booleans are rejected, and so are a
-dimension, trial count or entry bound below 1, a failure count outside
-[0, shadow_trials], a family whose members and coefficients differ in
-number, and a certificate entry that is not an [index, multiplier] pair.
+document's 'dim', a bundle's dimension and indices) must be plain JSON
+integers; floats, strings and booleans are rejected, and so are a dimension
+below 1, a family whose members and coefficients differ in number, a
+certificate entry that is not an [index, multiplier] pair, and a
+cover-certificate subset that is not d+1 increasing vertex indices of the
+bundle's body.
 Writing is canonical (sorted keys, fixed indentation), so identical objects
 serialise to identical bytes.
 """
@@ -139,18 +140,27 @@ def bundle_to_doc(b: CounterexampleBundle) -> dict:
             "coefficients": [format_rational(c) for c in b.family.coefficients],
         },
         "alpha": format_rational(b.alpha),
-        "alpha_min_observed": format_rational(b.alpha_min_observed),
-        "margin": format_rational(b.margin),
         "noncontainment": [
             [i, format_rational(lam)] for i, lam in b.noncontainment.multipliers
         ],
-        "search_seed": b.search_seed,
-        "search_trials": b.search_trials,
-        "entry_bound": b.entry_bound,
-        "verify_seed": b.verify_seed,
-        "shadow_trials": b.shadow_trials,
-        "shadow_failures": b.shadow_failures,
+        "cover_certificate": [
+            {"vertices": list(t), "translation": [format_rational(x) for x in w]}
+            for t, w in b.cover_certificate
+        ],
+        "minimiser": list(b.minimiser),
     }
+
+
+def _parse_subset(entry: Any, size: int, vertex_count: int) -> tuple[int, ...]:
+    if not isinstance(entry, list) or len(entry) != size:
+        raise FormatError(f"expected {size} vertex indices, got {_shown(entry)}")
+    subset = tuple(_parse_integer(i) for i in entry)
+    if any(not 0 <= i < j for i, j in zip(subset, subset[1:] + (vertex_count,))):
+        raise FormatError(
+            f"expected increasing vertex indices below {vertex_count}, "
+            f"got {_shown(entry)}"
+        )
+    return subset
 
 
 def bundle_from_doc(doc: Any) -> CounterexampleBundle:
@@ -164,25 +174,23 @@ def bundle_from_doc(doc: Any) -> CounterexampleBundle:
         if len(family.members) != len(family.coefficients):
             raise FormatError("bundle family has unequal members and coefficients")
         cert = FarkasCertificate(tuple(map(_parse_pair, doc["noncontainment"])))
-        shadow_trials = _parse_at_least(doc["shadow_trials"], 1, "shadow_trials")
-        shadow_failures = _parse_at_least(doc["shadow_failures"], 0, "shadow_failures")
-        if shadow_failures > shadow_trials:
-            raise FormatError("bundle 'shadow_failures' exceeds 'shadow_trials'")
+        d = _parse_at_least(doc["d"], 1, "d")
+        body = polytope_from_doc(doc["body"])
+        count = len(body.vertices)
+        cover_certificate = tuple(
+            (_parse_subset(entry["vertices"], d + 1, count),
+             _parse_point(entry["translation"], body.dim))
+            for entry in doc["cover_certificate"]
+        )
         return CounterexampleBundle(
             cover=polytope_from_doc(doc["cover"]),
-            d=_parse_at_least(doc["d"], 1, "d"),
+            d=d,
             family=family,
-            body=polytope_from_doc(doc["body"]),
+            body=body,
             alpha=parse_rational(doc["alpha"]),
-            alpha_min_observed=parse_rational(doc["alpha_min_observed"]),
-            margin=parse_rational(doc["margin"]),
             noncontainment=cert,
-            search_seed=_parse_integer(doc["search_seed"]),
-            search_trials=_parse_at_least(doc["search_trials"], 1, "search_trials"),
-            entry_bound=_parse_at_least(doc["entry_bound"], 1, "entry_bound"),
-            verify_seed=_parse_integer(doc["verify_seed"]),
-            shadow_trials=shadow_trials,
-            shadow_failures=shadow_failures,
+            cover_certificate=cover_certificate,
+            minimiser=_parse_subset(doc["minimiser"], d + 1, count),
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed bundle document: {exc}") from None

@@ -1,11 +1,13 @@
 """Quick self-verification: the exact named-example checks at reduced scale.
 
 One line per check, PASS or FAIL.  This is the fast subset of the full
-acceptance suite (tests/test_acceptance.py), trimmed to run in seconds:
-exact verdicts are identical, sampled phases use fewer trials.
+acceptance suite (tests/test_acceptance.py), trimmed to run in seconds on
+fewer and smaller bodies; every check is exact.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .containment import translate_fit
 from .corpus import named, names, random_polytope
@@ -107,15 +109,12 @@ def run_selftest() -> bool:
     )
 
     try:
-        bundle = build_counterexample(
-            named("octahedron"), 2, seed=11, trials=150, verify_trials=200
-        )
-        ver = verify_bundle(bundle, fresh_seed=12, trials=150)
-        ok = bundle.alpha > 1 and ver.passed
+        bundle = build_counterexample(named("octahedron"), 2)
+        ok = bundle.alpha == Fraction(3, 2) and verify_bundle(bundle).passed
     except Exception:
         ok = False
     _check(
-        "octahedron counterexample: alpha > 1, exact + sampled halves verify",
+        "octahedron counterexample: alpha = 3/2, both certificates verify",
         ok,
         results,
     )

@@ -17,6 +17,11 @@ feasibility checks that the library runs in integers are kept here in their
 direct ``Fraction`` form, substituting into the rational facets and
 constraints.
 
+A failing simplex's witness subspace (``failing_shadow``) follows the
+reduction of shadow covering to (d+1)-vertex simplices: its Farkas
+multipliers, grouped by the simplex vertex that attains each facet's
+support, span a subspace on which the shadows fail too.
+
 The tests also build a few things the library has no use for: translates and
 zero-padded embeddings of a body (re-hulled from their vertices, which gives
 the same canonical ``Polytope``), LPs over rational (a, b) pairs, centrally
@@ -36,7 +41,7 @@ import sympy
 from shadowcover.containment import ContainmentVerdict, translate_fit
 from shadowcover.linalg import to_ints, vector
 from shadowcover.lp import Infeasible, LPOutcome, LPProblem, Optimal, Unbounded
-from shadowcover.polytope import hull_from_vertices
+from shadowcover.polytope import Subspace, hull_from_vertices
 
 
 def sy_rank(rows) -> int:
@@ -431,6 +436,31 @@ def embed(p, target_dim: int):
         raise ValueError("target dimension must not shrink the body")
     pad = (0,) * (target_dim - p.dim)
     return hull_from_vertices([v + pad for v in p.vertices])
+
+
+def failing_shadow(t, l, d, cert) -> Subspace:
+    """A d-subspace on which the shadow of every body holding the simplex t
+    fits no translate of L's, from cert, t's Farkas certificate against L.
+
+    Facet j of L, with multiplier mu_j, goes to a vertex x_i of t that
+    attains h_t(a_j), and w_i sums mu_j a_j over its facets.  Then
+    sum(w_i) = 0 and sum(h_L(w_i) - x_i.w_i) <= sum(mu_j (b_j - h_t(a_j)))
+    < 0, and the w_i, d+1 vectors summing to 0, span at most d dimensions;
+    unit vectors fill the basis up to d.
+    """
+    w = [[Fraction(0)] * l.dim for _ in t.vertices]
+    for j, mu in cert.multipliers:
+        a = l.facets[j].normal
+        i = max(range(len(t.vertices)), key=lambda i: _fdot(a, t.vertices[i]))
+        w[i] = [x + mu * y for x, y in zip(w[i], a)]
+    units = [[int(i == k) for i in range(l.dim)] for k in range(l.dim)]
+    rows = []
+    for row in w + units:
+        if len(rows) < d and sy_rank(rows + [row]) > len(rows):
+            rows.append(row)
+    common = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return Subspace(l.dim, (tuple(tuple(int(x * common) for x in row)
+                                  for row in rows), 1))
 
 
 def lp_problem(objective, constraints, nonneg=()) -> LPProblem:

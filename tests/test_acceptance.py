@@ -26,7 +26,7 @@ from shadowcover.containment import (
     translate_fit,
 )
 from shadowcover.corpus import named, random_polytope
-from shadowcover.counterexample import build_counterexample
+from shadowcover.counterexample import build_counterexample, verify_bundle
 from shadowcover.decomposability import is_decomposable
 from shadowcover.kernels import int_nullspace, int_rank
 from shadowcover.linalg import add, integerize, matrix, vector
@@ -294,19 +294,31 @@ def _pipeline_cases():
     return cases
 
 
+# the least largest scale of a (d+1)-vertex simplex of S, case by case
+CRITERION_7_ALPHAS = [
+    F(3, 2), F(3), F(3, 2), F(4), F(2), F(4, 3), F(5, 4), F(33, 32), F(38, 25),
+    F(1020, 889), F(57, 35), F(19, 18), F(122, 77), F(366, 353), F(4, 3), F(40, 37),
+]
+
+
 def test_criterion_7_counterexample_pipeline():
     t0 = time.perf_counter()
     done = []
     for i, (body, d) in enumerate(_pipeline_cases()):
-        bundle = build_counterexample(
-            body, d, seed=1000 + i, trials=1000, verify_trials=2000
-        )
-        assert bundle.alpha > 1
-        assert bundle.shadow_failures == 0
+        bundle = build_counterexample(body, d)
+        assert bundle.alpha == CRITERION_7_ALPHAS[i]
+        assert verify_bundle(bundle).passed
         scaled = scale_polytope(bundle.body, bundle.alpha)
         assert certificate_valid(scaled, body, bundle.noncontainment)
         assert not translate_fit(scaled, body).fits
+        # alpha is the largest scale: past it the minimising simplex fails
+        t = hull_from_vertices([bundle.body.vertices[j] for j in bundle.minimiser])
+        assert not translate_fit(scale_polytope(t, bundle.alpha * F(101, 100)), body).fits
+        # sampled shadows as the oracle: none fails at alpha
+        report = sampled_shadow_cover(scaled, body, d, SubspaceSampler(1000 + i, d), 200)
+        assert report.all_passed
         done.append((d, str(bundle.alpha)))
+    assert len(done) == len(CRITERION_7_ALPHAS)
     dt = time.perf_counter() - t0
     assert dt < 600
     print(f"\nCRITERION 7 PASS: {len(done)} counterexample pipelines, "
@@ -364,7 +376,7 @@ def test_criterion_9_embedding_invariance():
         (named("cube-3"), scale_polytope(named("cube-3"), 2)),
         (scale_polytope(named("cube-3"), 3), named("cube-3")),
     ]
-    bundle = build_counterexample(oct3, 2, seed=77, trials=300, verify_trials=300)
+    bundle = build_counterexample(oct3, 2)
     pairs.append((scale_polytope(bundle.body, bundle.alpha), oct3))
     for k, l in pairs:
         ek, el = embed(k, 4), embed(l, 4)

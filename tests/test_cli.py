@@ -126,6 +126,19 @@ def test_reliability_directions_input(capsys, tmp_path):
     assert code == 1 and "size 4" in out
 
 
+def test_reliability_of_large_search_space_is_quiet(capsys, tmp_path):
+    # 63 facet normals in R^5: the report's search_space counts about
+    # 7.6 x 10^7 subsets, yet the first family turns up at once
+    from shadowcover.corpus import random_polytope
+
+    path = tmp_path / "hull.json"
+    write_json(path, polytope_to_doc(random_polytope(2, 5, 12, 3)))
+    code, out, err = run(capsys, "reliability", str(path), "--d", "1",
+                         "--format", "json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["result"]["search_space"] > 10**7
+
+
 @pytest.mark.parametrize("value", ["-3", "0", "3"])
 def test_reliability_rejects_d_out_of_range(capsys, pyramid_file, value):
     # checked before the search is sized, which would fail on d <= -3
@@ -251,73 +264,36 @@ def test_counterexample_bundle_output(capsys, tmp_path):
     write_json(oct_file, pdoc(named("octahedron")))
     bundle_file = tmp_path / "bundle.json"
     code, out, _ = run(
-        capsys, "counterexample", str(oct_file), "--d", "2", "--seed", "7",
-        "--trials", "60", "--verify-trials", "80", "--out", str(bundle_file),
+        capsys, "counterexample", str(oct_file), "--d", "2", "--out", str(bundle_file),
     )
     assert code == 0
-    assert "alpha" in out
+    assert "alpha = 3/2" in out
     doc = json.loads(bundle_file.read_text())
     assert doc["kind"] == "counterexample-bundle"
-    assert doc["shadow_failures"] == 0
+    assert len(doc["cover_certificate"]) == 4
 
 
 def test_counterexample_reliable_cover_exits_1(capsys, pyramid_file):
     code, _, err = run(
-        capsys, "counterexample", pyramid_file, "--d", "2", "--seed", "1",
-        "--trials", "10", "--verify-trials", "10",
+        capsys, "counterexample", pyramid_file, "--d", "2",
     )
     assert code == 1
     assert "2-reliable" in err
 
 
-def _no_counterexample(capsys, argv, reason):
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [f"no counterexample: {reason}"]
-
-
 def test_counterexample_point_shadow_exits_0(capsys, pyramid_file, tmp_path):
-    # at seed 0, trial 493 samples a line on which the shadow of S is a
-    # point; that trial bounds no scale and the search goes on
+    # S lies in a plane, so its shadow on the normal line is a point; the
+    # exact scale, taken over the edges of S, does not depend on it
     from shadowcover.counterexample import verify_bundle
     from shadowcover.jsonio import bundle_from_doc, read_json
 
     bundle_file = tmp_path / "bundle.json"
     code, _, err = run(
-        capsys, "counterexample", pyramid_file, "--d", "1", "--seed", "0",
-        "--out", str(bundle_file),
+        capsys, "counterexample", pyramid_file, "--d", "1", "--out", str(bundle_file),
     )
     assert code == 0 and err == ""
     bundle = bundle_from_doc(read_json(bundle_file))
-    assert verify_bundle(bundle, fresh_seed=11).passed
-
-
-def test_counterexample_margin_insufficient_exits_1(capsys, tmp_path):
-    path = tmp_path / "cross4.json"
-    write_json(path, polytope_to_doc(named("cross-polytope-4")))
-    _no_counterexample(
-        capsys,
-        ["counterexample", str(path), "--d", "1", "--seed", "6",
-         "--trials", "5", "--verify-trials", "40"],
-        "safety margin insufficient: a fresh shadow sample failed; "
-        "retry with a smaller margin or more search trials",
-    )
-
-
-def test_counterexample_no_usable_scale_exits_1(capsys, monkeypatch, tmp_path):
-    from fractions import Fraction
-
-    from shadowcover import counterexample
-
-    monkeypatch.setattr(counterexample, "_alpha_scan", lambda *a: Fraction(1))
-    path = tmp_path / "oct.json"
-    write_json(path, polytope_to_doc(named("octahedron")))
-    _no_counterexample(
-        capsys,
-        ["counterexample", str(path), "--d", "2", "--seed", "7"],
-        "no usable scale: a sampled shadow admits no enlargement",
-    )
+    assert verify_bundle(bundle).passed
 
 
 def test_corpus_listing_and_output(capsys, tmp_path):
@@ -331,9 +307,11 @@ def test_corpus_listing_and_output(capsys, tmp_path):
 
 
 def test_invalid_margin_rejected(capsys, pyramid_file):
-    with pytest.raises(SystemExit):
-        main(["counterexample", pyramid_file, "--d", "1", "--seed", "1",
-              "--margin", "2"])
+    # the scale is exact, so there is no margin to set
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", pyramid_file, "--d", "1", "--margin", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --margin 2" in capsys.readouterr().err
 
 
 def _usage_error(capsys, argv):
@@ -352,14 +330,6 @@ def test_shadow_cover_rejects_nonpositive(capsys, cube_file, big_cube_file, flag
         capsys,
         ["shadow-cover", cube_file, big_cube_file, "--d", "2", "--seed", "5",
          flag, value],
-    )
-
-
-@pytest.mark.parametrize("flag", ["--trials", "--verify-trials", "--bound"])
-def test_counterexample_rejects_nonpositive(capsys, pyramid_file, flag):
-    _usage_error(
-        capsys,
-        ["counterexample", pyramid_file, "--d", "1", "--seed", "1", flag, "0"],
     )
 
 
@@ -383,7 +353,10 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
     corpus bodies and a flat hexagon in R^3, pinned by a digest recorded
     while polytopes still stored their Fraction vertices and facets, then
     re-pinned when validate's "vector_area_check" field became
-    "hull_certificate" (with the old key the digest is 88b4dc4ecdeb...)."""
+    "hull_certificate" (with the old key the digest is 88b4dc4ecdeb...), and
+    again when the counterexample bundle's scale became exact (the first 14
+    runs' text hashes to 9a39acff2d26... before and after; with the sampled
+    scale search's bundle the whole text hashed to b0f28cfa0576...)."""
     import hashlib
 
     from oracles import embed, translate
@@ -423,8 +396,7 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
         ["shadow-cover", "flat.json", "flat2.json", "--d", "2", "--seed", "1",
          "--trials", "20"],
         ["reliability", "pyramid.json", "--d", "1"],
-        ["counterexample", "octahedron.json", "--d", "2", "--seed", "7",
-         "--trials", "60", "--verify-trials", "80"],
+        ["counterexample", "octahedron.json", "--d", "2"],
     ]
     text = []
     for argv in runs:
@@ -434,7 +406,7 @@ def test_json_reports_pinned_by_digest(capsys, tmp_path, monkeypatch):
         "0", "0", "0", "0", "0", "1", "1", "1", "0", "1", "0", "1", "0", "1", "0",
     ]
     assert hashlib.sha256("".join(text).encode()).hexdigest() == (
-        "b0f28cfa057613de8e85a511709be51bed2499351002a61a862b6ef2178d54a7"
+        "ed2a51141523482a29495f8c90952502c9988ee4e7a477328b5c07e01ae82406"
     )
 
 

@@ -426,26 +426,19 @@ def _pinned_alpha_cases():
 
     for name, d in (("octahedron", 2), ("square-pyramid", 1), ("cross-polytope-4", 2),
                     ("cross-polytope-4", 3), ("triangular-prism", 1)):
-        l = named(name)
-        s = build_S(l, is_reliable(l, d).certificate, d)
-        for seed in range(3):
-            yield name, d, l, s, SubspaceSampler(seed, d)
+        yield name, d, named(name)
 
 
 def test_shadow_reports_pinned_by_digest():
     """Passes, first failing trial and its verdict of 24 seeded sampled
-    shadow covers, and the counterexample scale on 15 seeded corpus cases
-    (30 search trials, margin 1/2), pinned by a digest recorded while
-    shadows were projected and hulled in Fraction arithmetic by the
-    brute-force scan, then re-pinned when ``ContainmentVerdict`` lost its
-    ``component`` field: the same text with ", component=None" after each
-    ``hull_mismatch`` field hashes to the first pin, 16b2ca94bc45.  Re-pinned
-    again when ``is_reliable`` began to return the first family it meets
-    rather than the least one: only cross-polytope-4 at d = 2 moves (S from
-    members (0, 3, 5, 9, 14), not (0, 3, 13, 14)), and with the least family
-    from ``oracles.simplicial_families`` substituted the text hashes to the
-    previous pin, 1fa3bcc63fd7."""
-    from shadowcover.counterexample import _alpha_scan, _scale_from
+    shadow covers, and the counterexample scale on 5 corpus cases, pinned by
+    a digest.  The reports were first pinned while shadows were projected
+    and hulled in Fraction arithmetic by the brute-force scan; they alone
+    hash to 32595cadc35b, unchanged since ``ContainmentVerdict`` lost its
+    ``component`` field.  The scales were those of a sampled search (30
+    trials on 3 seeds per case, margin 1/2) until they became exact: the
+    least largest scale of a (d+1)-vertex simplex of the body."""
+    from shadowcover.counterexample import build_counterexample
 
     reports = []
     for k, l, d, sampler in _pinned_shadow_cases():
@@ -453,12 +446,13 @@ def test_shadow_reports_pinned_by_digest():
         reports.append((rep.passes, rep.failed_trial, rep.failed_verdict))
     assert sum(r[1] is None for r in reports) == 7
     alphas = [
-        (name, d, _scale_from(_alpha_scan(l, s, d, sampler, 30), F(1, 2)))
-        for name, d, l, s, sampler in _pinned_alpha_cases()
+        (name, d, build_counterexample(l, d).alpha)
+        for name, d, l in _pinned_alpha_cases()
     ]
+    assert [a for _, _, a in alphas] == [F(3, 2), F(3, 2), F(4, 3), F(8, 7), F(2)]
     text = "\n".join(repr(r) for r in reports + alphas)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "936fec00aea98255debe6ac702f4d8d2256bd2ba9e5d31374663e439691a32c9"
+        "818ce09a77914dec9b73ec3cf8be344abedc54a54eeb8b7ee8ee6898de76d23a"
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowcover.counterexample import build_counterexample
+from shadowcover.counterexample import build_counterexample, verify_bundle
 from shadowcover.jsonio import (
     FormatError,
     bundle_from_doc,
@@ -95,14 +95,15 @@ def test_directions_reject_duplicates():
 
 @pytest.fixture(scope="module")
 def octahedron_bundle(octahedron):
-    return build_counterexample(octahedron, 2, seed=3, trials=60, verify_trials=80)
+    return build_counterexample(octahedron, 2)
 
 
 def test_bundle_round_trip(octahedron_bundle):
     bundle = octahedron_bundle
     doc = bundle_to_doc(bundle)
-    again = bundle_from_doc(doc)
+    again = bundle_from_doc(json.loads(dumps_canonical(doc)))
     assert again == bundle
+    assert verify_bundle(again).passed
     # canonical serialisation is byte-stable
     assert dumps_canonical(doc) == dumps_canonical(bundle_to_doc(again))
 
@@ -120,17 +121,14 @@ def _set(path, value):
 @pytest.mark.parametrize(
     "edit",
     [
-        # int() would have read these as 0, 1, 2, 3, 10 and 0 without complaint
+        # int() would have read these as 0, 1, 2, 0 and 1 without complaint
         _set(("family", "members", 0), 0.9),
         _set(("noncontainment", 0, 0), True),
         _set(("d",), 2.0),
-        _set(("search_seed",), "3"),
-        _set(("entry_bound",), 10.0),
-        _set(("shadow_trials",), False),
+        _set(("cover_certificate", 0, "vertices", 0), "0"),
+        _set(("minimiser", 1), True),
     ],
-    ids=[
-        "member-float", "index-bool", "d-float", "seed-str", "bound-float", "trials-bool"
-    ],
+    ids=["member-float", "index-bool", "d-float", "vertex-str", "minimiser-bool"],
 )
 def test_bundle_integer_fields_reject_non_integers(octahedron_bundle, edit):
     doc = json.loads(dumps_canonical(bundle_to_doc(octahedron_bundle)))
@@ -143,27 +141,51 @@ def test_bundle_integer_fields_reject_non_integers(octahedron_bundle, edit):
     "edit",
     [
         _set(("d",), 0),
-        _set(("search_trials",), -5),
-        _set(("shadow_trials",), 0),
-        _set(("entry_bound",), 0),
-        _set(("shadow_failures",), -1),
-        _set(("shadow_failures",), 81),
         _set(("family", "coefficients"), ["1", "1"]),
         _set(("noncontainment", 0), [0]),
         _set(("noncontainment", 0), [0, "1", "2"]),
     ],
-    ids=[
-        "d-zero", "search-trials-negative", "shadow-trials-zero", "bound-zero",
-        "failures-negative", "failures-above-trials", "family-unequal",
-        "certificate-single", "certificate-triple",
-    ],
+    ids=["d-zero", "family-unequal", "certificate-single", "certificate-triple"],
 )
 def test_bundle_ranges_and_shapes_rejected(octahedron_bundle, edit):
     doc = json.loads(dumps_canonical(bundle_to_doc(octahedron_bundle)))
-    assert doc["shadow_trials"] == 80 and len(doc["family"]["members"]) == 4
+    assert len(doc["family"]["members"]) == 4
     edit(doc)
     with pytest.raises(FormatError):
         bundle_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(("cover_certificate", 0, "vertices"), [0, 1, 4]),
+        _set(("cover_certificate", 0, "vertices"), [-1, 1, 2]),
+        _set(("cover_certificate", 0, "vertices"), [0, 1]),
+        _set(("cover_certificate", 0, "vertices"), [0, 1, 2, 3]),
+        _set(("cover_certificate", 0, "vertices"), [0, 0, 1]),
+        _set(("cover_certificate", 0, "vertices"), [1, 0, 2]),
+        _set(("cover_certificate", 0, "vertices"), "012"),
+        _set(("cover_certificate", 0, "translation"), ["0", "0"]),
+        _set(("cover_certificate", 0), [[0, 1, 2], ["0", "0", "0"]]),
+        _set(("cover_certificate",), {"vertices": [0, 1, 2]}),
+        _set(("minimiser",), [2, 3, 4]),
+        _set(("minimiser",), [0, 1]),
+        lambda doc: doc.pop("cover_certificate"),
+    ],
+    ids=[
+        "vertex-out-of-range", "vertex-negative", "subset-short", "subset-long",
+        "subset-repeated", "subset-unordered", "subset-string",
+        "translation-short", "entry-not-object", "cover-not-list",
+        "minimiser-out-of-range", "minimiser-short", "cover-missing",
+    ],
+)
+def test_bundle_cover_certificate_rejected(octahedron_bundle, edit):
+    doc = json.loads(dumps_canonical(bundle_to_doc(octahedron_bundle)))
+    assert len(doc["body"]["vertices"]) == 4 and doc["d"] == 2
+    edit(doc)
+    with pytest.raises(FormatError) as exc:
+        bundle_from_doc(doc)
+    assert len(str(exc.value)) < 200 and "\n" not in str(exc.value)
 
 
 def test_canonical_dump_is_sorted():
